@@ -1,7 +1,7 @@
 """prefarg benchmark: seeded CLI workloads, checked answers, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload kb-accept --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25
+    python3 perfbench/run.py --workload kb-accept --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 30
 
 Run from anywhere inside a prefarg checkout; the program is imported from
 the checkout's `src/`. For each workload this script draws the run's
@@ -13,6 +13,10 @@ prints, per workload, a JSON line of facts about the run, one line per
 metric, and last a JSON result. With `--trace 1` the child records layer spans (spans.py) and
 the result holds the per-layer metrics instead of the end-to-end ones.
 The exit code is 1 if any answer failed its check.
+
+Every time reported is scaled to a reference host speed by the
+calibration loop timed next to it (calib.py); the info line gives the
+measured figures too.
 """
 
 from __future__ import annotations
@@ -28,10 +32,16 @@ import tempfile
 import time
 from pathlib import Path
 
+import calib
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = ROOT / ".perfbench_out"
-SETUP_REPEATS = 4
+SETUP_REPEATS = 5
+# A call's time is scaled by the median of the calibrations timed just
+# before and after it and after the next call, so one stray calibration
+# does not set it.
+CAL_WINDOW = 1
 # Each pass set is a stratified draw; a run cycles through them, so it
 # samples the costly strata several times over without favouring them.
 PASS_SETS = 6
@@ -66,6 +76,27 @@ def _spawn(spec_path: Path, mode: str) -> tuple[float, int]:
     if line.strip() != "ready":
         raise RuntimeError(f"worker ({mode}) did not start; exit {proc.returncode}")
     return ready, code
+
+
+def setup_time(spec_path: Path) -> tuple[float, float]:
+    """Set-up seconds of one fresh worker, as measured and at the reference
+    speed of the calibrations just before and after it."""
+    before = calib.calibrate()
+    ready, _ = _spawn(spec_path, "setup")
+    return ready, ready * calib.REFERENCE_MS / statistics.mean([before, calib.calibrate()])
+
+
+def at_reference(samples: list) -> list[float]:
+    """Each call's milliseconds at the reference speed."""
+    cal = [s[4] for s in samples]
+    return [
+        s[1] * calib.REFERENCE_MS / statistics.median(cal[max(0, i - CAL_WINDOW): i + CAL_WINDOW + 1])
+        for i, s in enumerate(samples)
+    ]
+
+
+def _p90(values: list[float]) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[8] if len(values) > 1 else values[0]
 
 
 def select_passes(workload, seed: int, pool: dict | None, tiny: bool):
@@ -119,12 +150,11 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool,
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
         # Set-up is timed before and after the loop, so that one slow
         # spell of a shared machine does not set the median.
-        setup = [_spawn(spec_path, "setup")[0] for _ in range(SETUP_REPEATS)]
-        ready, code = _spawn(spec_path, "run")
+        setup = [setup_time(spec_path) for _ in range(SETUP_REPEATS)]
+        _, code = _spawn(spec_path, "run")
         if code != 0:
             raise RuntimeError(f"worker exited {code}")
-        setup.append(ready)
-        setup += [_spawn(spec_path, "setup")[0] for _ in range(SETUP_REPEATS)]
+        setup += [setup_time(spec_path) for _ in range(SETUP_REPEATS)]
         result = json.loads((work / "result.json").read_text(encoding="utf-8"))
 
         check_start = time.perf_counter()
@@ -141,9 +171,10 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool,
         check_s = time.perf_counter() - check_start
 
     samples = result["samples"]
-    ms = [s[1] for s in samples]
-    failed = sum(1 for idx, _, _, same in samples if verdicts[idx][1] or not same)
-    p90 = statistics.quantiles(ms, n=10, method="inclusive")[8] if len(ms) > 1 else ms[0]
+    raw = [s[1] for s in samples]
+    ms = at_reference(samples)
+    failed = sum(1 for idx, _, _, same, _ in samples if verdicts[idx][1] or not same)
+    p90 = _p90(ms)
     decided_share = sum(verdicts[s[0]][0] for s in samples) / len(samples)
     info = {
         "workload": name,
@@ -159,6 +190,13 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool,
         "decided_share": decided_share,
         "loop_s": result["loop_s"],
         "check_s": check_s,
+        "host_speed": calib.REFERENCE_MS / statistics.median(s[4] for s in samples),
+        "measured": {
+            "latency_p50_ms": statistics.median(raw),
+            "latency_p90_ms": _p90(raw),
+            "throughput_inputs_per_s": len(samples) * 1000 / sum(raw),
+            "setup_s": statistics.median(raw_s for raw_s, _ in setup),
+        },
     }
     counts = {}
     if trace:
@@ -173,9 +211,9 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool,
         metrics = {
             "latency_p50_ms": statistics.median(ms),
             "latency_p90_ms": p90,
-            "throughput_inputs_per_s": len(samples) / result["loop_s"],
+            "throughput_inputs_per_s": len(samples) * 1000 / sum(ms),
             "peak_rss_mb": result["peak_rss_mb"],
-            "setup_s": statistics.median(setup),
+            "setup_s": statistics.median(s for _, s in setup),
         }
         counts = {"peak_rss_mb": 1, "setup_s": len(setup)}
         units = dict(END_TO_END)
@@ -208,7 +246,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds < 1:

@@ -4,13 +4,15 @@
     python3 perfbench/worker.py SPEC.json run     also run the timed loop
 
 Both modes print `ready` once `prefarg.cli` is imported and the input
-files are read; the parent times that as set-up. The loop runs passes,
-cycling through the spec's pass sets, until the time is up; each pass
-weighs the cost strata equally, and only the last one is cut short. Each call's stdout and
-stderr are captured; the first answer per input is kept for checking
-and every repeat is compared with it. In a traced run each pass set
-runs traced and then untraced, so the tracing overhead is measured on
-the same inputs, from the pairs of whole passes.
+files are read; the parent times that as set-up. The loop runs whole
+passes, cycling through the spec's pass sets; each pass weighs the cost
+strata equally. The first pass always runs, and another starts only if
+a pass as long as the last one still fits in the run's time. After
+every call the host-speed calibration loop (calib.py) is timed. Each
+call's stdout and stderr are captured; the first answer per input is
+kept for checking and every repeat is compared with it. In a traced run
+each pass set runs traced and then untraced, so the tracing overhead is
+measured on the same inputs, from the pairs of whole passes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import calib
 
 
 def call_cli(cli, argv):
@@ -73,29 +77,27 @@ def main() -> int:
         # In a traced run each pass set runs traced, then untraced.
         order = spec["passes"][(passes // (2 if tracer else 1)) % len(spec["passes"])]
         pass_start = time.perf_counter()
-        cut = False
         for idx in order:
-            # Stop at the deadline, but a traced run first completes one
-            # traced and one untraced pass, for the overhead.
-            if time.perf_counter() - began >= spec["seconds"] and (
-                tracer is None or len(pass_s["plain"]) > 0
-            ):
-                cut = True
-                break
             if traced:
                 tracer.input_id = idx
                 traced_calls += 1
             elapsed, code, out, _ = call_cli(cli, argvs[idx])
+            calibration_ms = calib.calibrate()
             if idx not in first:
                 first[idx] = {"code": code, "out": out}
             same = first[idx]["code"] == code and first[idx]["out"] == out
-            samples.append([idx, elapsed * 1000, code, same])
-        passes += 1
-        if not cut:
-            pass_s["traced" if traced else "plain"].append(time.perf_counter() - pass_start)
+            samples.append([idx, elapsed * 1000, code, same, calibration_ms])
+        pass_s["traced" if traced else "plain"].append(time.perf_counter() - pass_start)
         if traced:
             tracer.uninstall()
-        if cut or time.perf_counter() - began >= spec["seconds"] and tracer is None:
+        passes += 1
+        # Only whole passes (whole traced and untraced pairs) are run.
+        left = spec["seconds"] - (time.perf_counter() - began)
+        if tracer is None and left < pass_s["plain"][-1]:
+            break
+        if tracer is not None and passes % 2 == 0 and (
+            left < pass_s["plain"][-1] + pass_s["traced"][-1]
+        ):
             break
     loop_s = time.perf_counter() - began
 
