@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence, Sized
 
 from .errors import CapExceededError
-from .formulas import Formula, TruthTable, atoms, negate_canonical, render, unique_formulas
+from .formulas import Formula, _table_for, negate_canonical, render, unique_formulas
 from .kb import BeliefRef, StratifiedKB
 
 DEFAULT_CAP = 20
@@ -75,15 +75,10 @@ def candidate_conclusions(kb: StratifiedKB, query: Formula | None = None) -> tup
     return unique_formulas(pool)
 
 
-def _universe_table(kb: StratifiedKB, extra: Iterable[Formula]) -> TruthTable:
-    names: set[str] = set()
-    for f in kb.core:
-        names |= atoms(f)
-    for _, f in kb.beliefs():
-        names |= atoms(f)
-    for f in extra:
-        names |= atoms(f)
-    return TruthTable(sorted(names))
+def check_cap(items: Sized, noun: str, cap: int) -> None:
+    """Refuse an enumeration over more than cap items."""
+    if len(items) > cap:
+        raise CapExceededError(f"{len(items)} {noun} exceed the enumeration cap of {cap}")
 
 
 def _minimal_entailing_index_sets(
@@ -118,6 +113,26 @@ def _minimal_entailing_index_sets(
     return found
 
 
+def _supports_by_conclusion(
+    kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
+) -> list[list[tuple[BeliefRef, ...]]]:
+    """The minimal supports of each conclusion, in the order given."""
+    refs = kb.belief_refs()
+    check_cap(refs, "beliefs", cap)
+    table = _table_for(itertools.chain(kb.core, *kb.strata, conclusions))
+    core_mask = table.conjunction_mask(kb.core)
+    belief_masks = [table.mask(kb.resolve(r)) for r in refs]
+    return [
+        [
+            tuple(refs[i] for i in combo)
+            for combo in _minimal_entailing_index_sets(
+                belief_masks, core_mask, table.mask(c), table.full
+            )
+        ]
+        for c in conclusions
+    ]
+
+
 def minimal_supports(
     kb: StratifiedKB, conclusion: Formula, cap: int = DEFAULT_CAP
 ) -> list[tuple[BeliefRef, ...]]:
@@ -126,17 +141,7 @@ def minimal_supports(
     The empty support qualifies when the core alone entails the
     conclusion. Results are ordered by size, then by ref positions.
     """
-    refs = kb.belief_refs()
-    if len(refs) > cap:
-        raise CapExceededError(f"{len(refs)} beliefs exceed the enumeration cap of {cap}")
-    table = _universe_table(kb, [conclusion])
-    core_mask = table.conjunction_mask(kb.core)
-    belief_masks = [table.mask(kb.resolve(r)) for r in refs]
-    goal = table.mask(conclusion)
-    return [
-        tuple(refs[i] for i in combo)
-        for combo in _minimal_entailing_index_sets(belief_masks, core_mask, goal, table.full)
-    ]
+    return _supports_by_conclusion(kb, [conclusion], cap)[0]
 
 
 def build_universe(
@@ -147,18 +152,10 @@ def build_universe(
     Arguments are sorted by (level, support refs, conclusion text) and
     named A1, A2, ... so equal inputs always produce identical ids.
     """
-    refs = kb.belief_refs()
-    if len(refs) > cap:
-        raise CapExceededError(f"{len(refs)} beliefs exceed the enumeration cap of {cap}")
     candidates = candidate_conclusions(kb, query)
-    table = _universe_table(kb, candidates)
-    core_mask = table.conjunction_mask(kb.core)
-    belief_masks = [table.mask(kb.resolve(r)) for r in refs]
     entries: list[tuple[int, tuple[BeliefRef, ...], str, Formula]] = []
-    for c in candidates:
-        goal = table.mask(c)
-        for combo in _minimal_entailing_index_sets(belief_masks, core_mask, goal, table.full):
-            support = tuple(refs[i] for i in combo)
+    for c, supports in zip(candidates, _supports_by_conclusion(kb, candidates, cap)):
+        for support in supports:
             entries.append((kb.certainty_level(support), support, render(c), c))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
     arguments = tuple(

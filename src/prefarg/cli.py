@@ -13,8 +13,10 @@ One verb per concept cluster:
 Input kind is inferred from the file suffix (.kb or .af) unless --kind
 says otherwise. Abstract framework files carry their own defeat and
 preference relations, so --defeat, --pref and --query are rejected for
-them. Exit codes: 0 success, 1 usage or parse error, 2 enumeration cap
-exceeded, 3 invariant failure from the check subcommand.
+them. --cap must be at least 0. A formula, in a .kb line or in --query,
+nested more than 100 levels deep is a parse error. Exit codes: 0
+success, 1 usage or parse error, 2 enumeration cap exceeded, 3
+invariant failure from the check subcommand.
 """
 
 from __future__ import annotations
@@ -25,24 +27,12 @@ import sys
 from pathlib import Path
 
 from .arguments import DEFAULT_CAP, ArgumentUniverse, build_universe, universe_to_json
-from .coherence import (
-    check_correspondence,
-    correspondence_to_json,
-    incl_subbases,
-    intersection_incl,
-    subbase_to_json,
-)
+from .coherence import check_correspondence, correspondence_to_json, ref_to_json, subbase_to_json
 from .errors import AFFormatError, CapExceededError, FormulaSyntaxError, KBFormatError
 from .formulas import parse_formula, render
 from .framework import Framework, PreferenceRelation, build_framework, parse_abstract_framework
 from .kb import StratifiedKB, parse_kb
-from .semantics import (
-    class_cr,
-    class_cr_pref,
-    evaluate,
-    report_to_json,
-    self_check,
-)
+from .semantics import evaluate, report_to_json, self_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,14 +196,9 @@ def cmd_accept(args) -> int:
         return _usage(args, "the accept subcommand needs a knowledge base")
     if args.query is None:
         return _usage(args, "the accept subcommand needs --query")
-    query = parse_formula(args.query)
-    universe = build_universe(kb, query, args.cap)
-    defeat = args.defeat or "undercut"
-    pref = PreferenceRelation.none() if args.pref == "none" else None
-    fw = build_framework(universe, defeat, pref)
+    universe, fw = _kb_framework(args, kb)
+    query = universe.query
     report = evaluate(fw, args.mode, args.cap)
-    in_r = class_cr(fw)
-    in_r_pref = class_cr_pref(fw)
     grounded = set(report.grounded)
     stable = [set(e) for e in report.stable]
     rows = []
@@ -223,8 +208,8 @@ def cmd_accept(args) -> int:
         rows.append({
             "id": a.id,
             "argument": a.describe(),
-            "in_class_r": a.id in in_r,
-            "in_class_r_pref": a.id in in_r_pref,
+            "in_class_r": a.id in report.class_r,
+            "in_class_r_pref": a.id in report.class_r_pref,
             "in_grounded": a.id in grounded,
             "in_stable": [a.id in e for e in stable],
         })
@@ -264,26 +249,21 @@ def cmd_coherence(args) -> int:
     if kb is None:
         return _usage(args, "the coherence subcommand needs a knowledge base")
     universe = build_universe(kb, _query_formula(args), args.cap)
-    subbases = incl_subbases(kb, args.cap)
-    common = intersection_incl(kb, args.cap)
     report = check_correspondence(kb, universe, args.cap)
+    common = sorted(report.intersection)
     if args.fmt == "json":
         _emit(_dumps({
-            "subbases": [subbase_to_json(kb, sb) for sb in subbases],
-            "intersection": [
-                {"stratum": r.stratum, "position": r.position,
-                 "formula": render(kb.resolve(r))}
-                for r in sorted(common)
-            ],
+            "subbases": [subbase_to_json(kb, sb) for sb in report.subbases],
+            "intersection": [ref_to_json(kb, r) for r in common],
             "correspondence": correspondence_to_json(report),
         }))
     else:
-        lines = [f"subbases ({len(subbases)}):"]
-        for sb in subbases:
+        lines = [f"subbases ({len(report.subbases)}):"]
+        for sb in report.subbases:
             lines.append("  {" + ", ".join(render(f) for f in sb.formulas(kb)) + "}")
         lines.append(
             "intersection: {"
-            + ", ".join(render(kb.resolve(r)) for r in sorted(common)) + "}"
+            + ", ".join(render(kb.resolve(r)) for r in common) + "}"
         )
         for c in report.clauses:
             lines.append(f"{c.name}: {c.status}  {c.detail}")
@@ -369,6 +349,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.cap < 0:
+        return _usage(args, f"--cap must be at least 0, got {args.cap}")
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:

@@ -13,12 +13,12 @@ and the flat-base equivalence between the two pictures.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, build_universe, supp_of
-from .errors import CapExceededError
-from .formulas import Formula, TruthTable, atoms, render
+from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, build_universe, check_cap, supp_of
+from .formulas import Formula, _table_for, render
 from .framework import PreferenceRelation, build_framework
 from .kb import BeliefRef, StratifiedKB
 from .semantics import class_cr_pref, grounded_extension, stable_extensions
@@ -35,21 +35,6 @@ class Subbase:
 
     def formulas(self, kb: StratifiedKB) -> tuple[Formula, ...]:
         return tuple(kb.resolve(r) for r in self.refs)
-
-
-def _kb_table(kb: StratifiedKB) -> TruthTable:
-    names: set[str] = set()
-    for f in kb.core:
-        names |= atoms(f)
-    for _, f in kb.beliefs():
-        names |= atoms(f)
-    return TruthTable(sorted(names))
-
-
-def _check_cap(kb: StratifiedKB, cap: int) -> None:
-    n = sum(len(s) for s in kb.strata)
-    if n > cap:
-        raise CapExceededError(f"{n} beliefs exceed the enumeration cap of {cap}")
 
 
 def _maximal_augmentations(
@@ -86,8 +71,8 @@ def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     stratum; maximality of the earlier prefix is never disturbed because
     anything it excluded stays contradictory in any superset.
     """
-    _check_cap(kb, cap)
-    table = _kb_table(kb)
+    check_cap(kb.belief_refs(), "beliefs", cap)
+    table = _table_for(itertools.chain(kb.core, *kb.strata))
     core_mask = table.conjunction_mask(kb.core)
     branches: list[tuple[tuple[BeliefRef, ...], int]] = [((), core_mask)]
     for stratum_index, stratum in enumerate(kb.strata, start=1):
@@ -101,20 +86,20 @@ def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     return sorted((Subbase(kept) for kept, _ in branches), key=lambda sb: sb.refs)
 
 
+def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
+    return frozenset(subbases[0].refs).intersection(*(sb.refs for sb in subbases[1:]))
+
+
 def intersection_incl(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> frozenset[BeliefRef]:
     """The belief references kept by every preferred subbase."""
-    subbases = incl_subbases(kb, cap)
-    common = set(subbases[0].refs)
-    for sb in subbases[1:]:
-        common &= set(sb.refs)
-    return frozenset(common)
+    return _common_refs(incl_subbases(kb, cap))
 
 
 def max_consistent_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """Maximal selections consistent with the core, stratification ignored."""
-    _check_cap(kb, cap)
-    table = _kb_table(kb)
     refs = list(kb.belief_refs())
+    check_cap(refs, "beliefs", cap)
+    table = _table_for(itertools.chain(kb.core, *kb.strata))
     masks = [table.mask(kb.resolve(r)) for r in refs]
     core_mask = table.conjunction_mask(kb.core)
     picks = _maximal_augmentations(refs, masks, core_mask)
@@ -139,7 +124,11 @@ class ClauseResult:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
+    """The checked clauses, with the preferred subbases and their intersection."""
+
     clauses: tuple[ClauseResult, ...]
+    subbases: tuple[Subbase, ...]
+    intersection: frozenset[BeliefRef]
 
     @property
     def ok(self) -> bool:
@@ -188,9 +177,7 @@ def check_correspondence(
     clauses: list[ClauseResult] = []
 
     subbases = incl_subbases(kb, cap)
-    common = set(subbases[0].refs)
-    for sb in subbases[1:]:
-        common &= set(sb.refs)
+    common = _common_refs(subbases)
 
     fw = build_framework(universe, defeat="undercut")
     stable = stable_extensions(fw, "weak", cap)
@@ -266,7 +253,7 @@ def check_correspondence(
         f"common references {_show_refs(kb, common)}",
     ))
 
-    return CorrespondenceReport(tuple(clauses))
+    return CorrespondenceReport(tuple(clauses), tuple(subbases), common)
 
 
 def ref_to_json(kb: StratifiedKB, ref: BeliefRef) -> dict:

@@ -12,7 +12,8 @@ Formula syntax:
 Binding strength, tightest first: ! & | -> <->. Whitespace is
 insignificant. Rendering uses `!`, single spaces around binary
 connectives and minimal parentheses; parsing the rendered text yields
-the identical tree.
+the identical tree. Text that nests connectives or parentheses more
+than MAX_DEPTH (100) levels deep is rejected.
 
 Satisfiability questions are answered by complete truth-table
 evaluation, vectorized as bitmasks over the assignment space: bit i of
@@ -32,6 +33,10 @@ from .errors import CapExceededError, FormulaSyntaxError
 
 # Masks occupy 2**n bits for n atoms; past this the integers get silly.
 MAX_TABLE_ATOMS = 24
+
+# Parsed trees are walked by recursive code (render, TruthTable.mask,
+# the dataclass hash), so deeper input is refused before it gets there.
+MAX_DEPTH = 100
 
 
 class Formula:
@@ -149,9 +154,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Chains and negations are read in loops; only a parenthesised group
+    # recurses, so the stack depth follows the (capped) parenthesis nesting.
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -169,18 +178,23 @@ class _Parser:
         return f
 
     def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek().kind == "iff":
-            self.take()
-            return Iff(left, self.iff())
-        return left
+        return self.right_chain("iff", Iff, self.implies)
 
     def implies(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "implies":
+        return self.right_chain("implies", Implies, self.disj)
+
+    def right_chain(self, kind: str, make, operand) -> Formula:
+        f = operand()
+        if self.peek().kind != kind:
+            return f
+        parts = [f]
+        while self.peek().kind == kind:
             self.take()
-            return Implies(left, self.implies())
-        return left
+            parts.append(operand())
+        f = parts.pop()
+        while parts:
+            f = make(parts.pop(), f)
+        return f
 
     def disj(self) -> Formula:
         f = self.conj()
@@ -197,31 +211,58 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "neg":
-            self.take()
-            return Not(self.unary())
+        negations = 0
+        tok = self.take()
+        while tok.kind == "neg":
+            negations += 1
+            tok = self.take()
         if tok.kind == "atom":
-            self.take()
-            return Atom(tok.text)
-        if tok.kind == "lparen":
-            self.take()
+            f = Atom(tok.text)
+        elif tok.kind == "lparen":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", tok.position)
             f = self.iff()
-            closing = self.peek()
+            closing = self.take()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError("expected ')'", closing.position)
-            self.take()
-            return f
-        if tok.kind == "end":
+            self.parens -= 1
+        elif tok.kind == "end":
             raise FormulaSyntaxError("unexpected end of input", tok.position)
-        raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        else:
+            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        for _ in range(negations):
+            f = Not(f)
+        return f
+
+
+def _depth(f: Formula) -> int:
+    """Connectives on the longest path from the root to an atom."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, Not):
+            stack.append((g.operand, d + 1))
+        elif not isinstance(g, Atom):
+            stack += [(g.left, d + 1), (g.right, d + 1)]
+    return deepest
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse formula text into an AST, or raise FormulaSyntaxError."""
+    """Parse formula text into an AST, or raise FormulaSyntaxError.
+
+    A tree deeper than MAX_DEPTH connectives, or parentheses nested
+    deeper than MAX_DEPTH, is rejected.
+    """
     if not text.strip():
         raise FormulaSyntaxError("empty formula", 0)
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    f = _Parser(tokens).parse()
+    # Each level of depth takes a token, so short formulas skip the walk.
+    if len(tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
+        raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH}", 0)
+    return f
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -305,7 +346,8 @@ class TruthTable:
         return m
 
 
-def _table_for(formulas: list[Formula]) -> TruthTable:
+def _table_for(formulas: Iterable[Formula]) -> TruthTable:
+    """The truth table over the sorted atoms of the given formulas."""
     names: set[str] = set()
     for f in formulas:
         names |= atoms(f)

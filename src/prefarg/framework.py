@@ -23,13 +23,14 @@ into equivalences, as a preorder allows.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arguments import Argument, ArgumentUniverse
 from .errors import AFFormatError
-from .formulas import Not, TruthTable, atoms, equivalent
+from .formulas import Not, _table_for, equivalent
 
 DEFEAT_KINDS = ("rebut", "undercut", "abstract")
 
@@ -204,12 +205,9 @@ def build_framework(
     if preference is None:
         preference = PreferenceRelation.by_certainty()
     args = universe.arguments
-    names: set[str] = set()
-    for a in args:
-        names |= atoms(a.conclusion)
-        for f in a.support_formulas:
-            names |= atoms(f)
-    table = TruthTable(sorted(names))
+    table = _table_for(itertools.chain.from_iterable(
+        (a.conclusion, *a.support_formulas) for a in args
+    ))
     conclusion_masks = [table.mask(a.conclusion) for a in args]
     edges: list[tuple[str, str]] = []
     if defeat == "rebut":

@@ -102,7 +102,9 @@ class StratifiedKB:
         return StratifiedKB(self.core, (beliefs,) if beliefs else ())
 
 
-_SECTION_RE = re.compile(r"\[\s*(?:(core)|stratum\s+(\d+))\s*\]$")
+# Stratum numbers keep at most nine significant digits: int() raises
+# ValueError on digit strings past 4300 characters.
+_SECTION_RE = re.compile(r"\[\s*(?:(core)|stratum\s+0*(\d{1,9}))\s*\]$")
 
 
 def parse_kb(text: str) -> StratifiedKB:

@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arguments import DEFAULT_CAP
-from .errors import CapExceededError
+from .arguments import DEFAULT_CAP, check_cap
 from .framework import Framework
 
 MODES = ("weak", "strict")
@@ -130,38 +129,30 @@ def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
         s = nxt
 
 
-def _check_cap(fw: Framework, cap: int) -> None:
-    n = len(fw.arguments)
-    if n > cap:
-        raise CapExceededError(f"{n} arguments exceed the enumeration cap of {cap}")
+def _fixed_points(fw: Framework, mode: str, cap: int, step) -> list[int]:
+    """Conflict-free masks that step maps to themselves, by size then bitmask."""
+    _check_mode(mode)
+    check_cap(fw.arguments, "arguments", cap)
+    out = [
+        s for s in range(1 << len(fw.arguments))
+        if _conflict_free_mask(fw, s, mode) and step(fw, s) == s
+    ]
+    out.sort(key=lambda s: (s.bit_count(), s))
+    return out
 
 
 def complete_extensions(
     fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP
 ) -> list[frozenset[str]]:
     """Conflict-free fixed points of f_step, ordered by size then position bitmask."""
-    _check_mode(mode)
-    _check_cap(fw, cap)
-    out = []
-    for s in range(1 << len(fw.arguments)):
-        if _conflict_free_mask(fw, s, mode) and _f_mask(fw, s) == s:
-            out.append(s)
-    out.sort(key=lambda s: (s.bit_count(), s))
-    return [_ids_of(fw, s) for s in out]
+    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap, _f_mask)]
 
 
 def stable_extensions(
     fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP
 ) -> list[frozenset[str]]:
     """Conflict-free fixed points of g_step, ordered by size then position bitmask."""
-    _check_mode(mode)
-    _check_cap(fw, cap)
-    out = []
-    for s in range(1 << len(fw.arguments)):
-        if _conflict_free_mask(fw, s, mode) and _g_mask(fw, s) == s:
-            out.append(s)
-    out.sort(key=lambda s: (s.bit_count(), s))
-    return [_ids_of(fw, s) for s in out]
+    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap, _g_mask)]
 
 
 def greatest_fixed_point(fw: Framework) -> frozenset[str]:
@@ -204,20 +195,18 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     grounded_ids, iterations = grounded_extension(fw)
     gfp_mask = _g_mask(fw, _mask_of(fw, grounded_ids))
     capped = len(fw.arguments) > cap
-    if capped:
-        complete: list[frozenset[str]] = []
-        stable: list[frozenset[str]] = []
-    else:
-        complete = complete_extensions(fw, mode, cap)
-        stable = stable_extensions(fw, mode, cap)
+    # f_step is g_step applied twice, so every stable extension is also a
+    # complete one: one scan for complete extensions yields both lists.
+    complete = [] if capped else [_mask_of(fw, e) for e in complete_extensions(fw, mode, cap)]
+    stable = [s for s in complete if _g_mask(fw, s) == s]
     return ExtensionReport(
         mode=mode,
         class_r=_ordered_ids(fw, _mask_of(fw, class_cr(fw))),
         class_r_pref=_ordered_ids(fw, _mask_of(fw, class_cr_pref(fw))),
         grounded=_ordered_ids(fw, _mask_of(fw, grounded_ids)),
         greatest_fixed_point=_ordered_ids(fw, gfp_mask),
-        complete=tuple(_ordered_ids(fw, _mask_of(fw, e)) for e in complete),
-        stable=tuple(_ordered_ids(fw, _mask_of(fw, e)) for e in stable),
+        complete=tuple(_ordered_ids(fw, s) for s in complete),
+        stable=tuple(_ordered_ids(fw, s) for s in stable),
         unique_complete=_conflict_free_mask(fw, gfp_mask, "weak"),
         iterations=iterations,
         capped=capped,
@@ -286,23 +275,24 @@ class SelfCheckReport:
         return all(r.status != "fail" for r in self.results)
 
 
-def _subset_pool(n: int, max_exhaustive: int, sample: int, seed: int) -> list[int]:
-    if n <= max_exhaustive:
+# self_check quantifies over every subset up to this many arguments and
+# over a seeded random pool of SAMPLE_SIZE subsets above it.
+MAX_EXHAUSTIVE = 12
+SAMPLE_SIZE = 1024
+SAMPLE_SEED = 0
+
+
+def _subset_pool(n: int) -> list[int]:
+    if n <= MAX_EXHAUSTIVE:
         return list(range(1 << n))
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     pool = {0, (1 << n) - 1}
-    while len(pool) < sample:
+    while len(pool) < SAMPLE_SIZE:
         pool.add(rng.getrandbits(n))
     return sorted(pool)
 
 
-def self_check(
-    fw: Framework,
-    cap: int = DEFAULT_CAP,
-    max_exhaustive: int = 12,
-    sample: int = 1024,
-    seed: int = 0,
-) -> SelfCheckReport:
+def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
     Subset-quantified laws are checked over every subset when the
@@ -311,8 +301,8 @@ def self_check(
     """
     n = len(fw.arguments)
     full = (1 << n) - 1
-    exhaustive = n <= max_exhaustive
-    pool = _subset_pool(n, max_exhaustive, sample, seed)
+    exhaustive = n <= MAX_EXHAUSTIVE
+    pool = _subset_pool(n)
     f_of = {s: _f_mask(fw, s) for s in pool}
     g_of = {s: _g_mask(fw, s) for s in pool}
     results: list[CheckResult] = []
@@ -346,16 +336,11 @@ def self_check(
     record("preference_strict_part_transitive", transitive_ok)
 
     # Pointwise operator laws over the pool.
-    record("f_of_empty_is_unattacked_class", f_of[0] == _mask_of(fw, class_cr_pref(fw)))
+    unattacked = _mask_of(fw, class_cr_pref(fw))
+    record("f_of_empty_is_unattacked_class", f_of[0] == unattacked)
     record("g_of_empty_is_everything", g_of[0] == full)
-    record(
-        "g_of_everything_is_unattacked_class",
-        _g_mask(fw, full) == _mask_of(fw, class_cr_pref(fw)),
-    )
-    record(
-        "unattacked_class_conflict_free",
-        _conflict_free_mask(fw, _mask_of(fw, class_cr_pref(fw)), "weak"),
-    )
+    record("g_of_everything_is_unattacked_class", _g_mask(fw, full) == unattacked)
+    record("unattacked_class_conflict_free", _conflict_free_mask(fw, unattacked, "weak"))
 
     cf_ok = True
     f_cf_ok = True
@@ -382,7 +367,7 @@ def self_check(
                 if sub == 0:
                     break
     else:
-        rng = random.Random(seed + 1)
+        rng = random.Random(SAMPLE_SEED + 1)
         for s in pool:
             for _ in range(4):
                 sub = s & rng.getrandbits(n)
@@ -398,8 +383,7 @@ def self_check(
     grounded = _mask_of(fw, grounded_ids)
     record("grounded_is_fixed_point", _f_mask(fw, grounded) == grounded)
     record("grounded_conflict_free", _conflict_free_mask(fw, grounded, "weak"))
-    chain = _mask_of(fw, class_cr_pref(fw))
-    union = chain
+    chain = union = unattacked
     while True:
         chain = _f_mask(fw, chain)
         if union | chain == union:
@@ -456,10 +440,11 @@ def self_check(
     # Extension laws need full enumeration.
     if n <= cap and exhaustive:
         complete = [_mask_of(fw, e) for e in complete_extensions(fw, "weak", cap)]
-        stable = [_mask_of(fw, e) for e in stable_extensions(fw, "weak", cap)]
+        stable = [s for s in complete if g_of[s] == s]
         record("grounded_is_complete", grounded in complete)
         record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))
-        record("stable_implies_complete", all(s in complete for s in stable))
+        # The pool holds every subset here, so this finds every stable set.
+        stable_by_definition = []
         stable_char_ok = True
         for s in pool:
             is_stable = _conflict_free_mask(fw, s, "weak") and g_of[s] == s
@@ -468,6 +453,9 @@ def self_check(
             )
             if is_stable != attacks_outside:
                 stable_char_ok = False
+            if is_stable:
+                stable_by_definition.append(s)
+        record("stable_implies_complete", set(stable_by_definition) <= set(complete))
         record("stable_iff_attacks_every_outsider", stable_char_ok)
         maximal_ok = True
         for s in stable:

@@ -210,6 +210,23 @@ class TestCoherence:
         assert code == 1
         assert "needs a knowledge base" in err
 
+    def test_enumerates_subbases_once(self, run, monkeypatch):
+        import prefarg.cli as cli_module
+        import prefarg.coherence as coherence_module
+
+        original = coherence_module.incl_subbases
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (cli_module, coherence_module):
+            monkeypatch.setattr(module, "incl_subbases", counted, raising=False)
+        code, _, _ = run("coherence", fx("example2.kb"), "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestGraph:
     def test_dot_marks_cancelled_defeats(self, run):
@@ -307,6 +324,35 @@ class TestInputHandling:
         code, _, err = run("arguments", fx("example2.kb"), "--cap", "3")
         assert code == 2
         assert "exceed the enumeration cap" in err
+
+    @pytest.mark.parametrize("command,name", [
+        ("arguments", "example2.kb"), ("extensions", "example1.af"),
+        ("extensions", "example2.kb"), ("accept", "example2.kb"),
+        ("coherence", "example2.kb"), ("graph", "example1.af"), ("check", "example1.af"),
+    ])
+    def test_negative_cap_is_usage_error(self, run, command, name):
+        extra = ["--query", "b"] if name.endswith(".kb") else []
+        code, out, err = run(command, fx(name), "--cap", "-1", *extra)
+        assert (code, out) == (1, "")
+        assert err == f"prefarg {command}: error: --cap must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("text", [
+        "(" * 1000 + "a" + ")" * 1000,
+        "!" * 1000 + "a",
+        " & ".join(["a"] * 1001),
+    ], ids=["parentheses", "negations", "conjunctions"])
+    def test_deeply_nested_formula_is_parse_error(self, run, tmp_path, text):
+        target = tmp_path / "deep.kb"
+        target.write_text(f"[stratum 1]\n{text}\n", encoding="utf-8")
+        for argv in (
+            ["arguments", str(target)],
+            ["accept", fx("example2.kb"), "--query", text],
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("prefarg: error: ")
+            assert "nested deeper than 100" in err
+            assert err.count("\n") == 1
 
     def test_unknown_subcommand(self, run):
         code, _, err = run("frobnicate", fx("example1.af"))

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 import oracles
 from prefarg.errors import CapExceededError, FormulaSyntaxError
 from prefarg.formulas import (
+    MAX_DEPTH,
     And,
     Atom,
     Iff,
@@ -92,6 +93,46 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula("a $ b")
         assert err.value.position == 2
+
+
+def negations(n):
+    f = a
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def conjunctions(n):
+    f = a
+    for _ in range(n):
+        f = And(f, a)
+    return f
+
+
+def left_implications(n):
+    # Renders as ((a -> a) -> a) -> a: parentheses nest one level less than the tree
+    f = a
+    for _ in range(n):
+        f = Implies(f, a)
+    return f
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("build", [negations, conjunctions, left_implications])
+    def test_limit_round_trips(self, build):
+        f = build(MAX_DEPTH)
+        assert parse_formula(render(f)) == f
+
+    @pytest.mark.parametrize("build", [negations, conjunctions, left_implications])
+    def test_past_limit_rejected(self, build):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than 100"):
+            parse_formula(render(build(MAX_DEPTH + 1)))
+
+    def test_parenthesis_nesting(self):
+        assert parse_formula("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == a
+        with pytest.raises(FormulaSyntaxError, match="parentheses nested deeper") as err:
+            parse_formula("(" * 1000 + "a" + ")" * 1000)
+        assert err.value.position == MAX_DEPTH
 
 
 class TestRendering:

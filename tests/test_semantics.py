@@ -11,6 +11,7 @@ from prefarg.kb import parse_kb
 from prefarg.arguments import build_universe
 from prefarg.framework import build_framework
 from prefarg.semantics import (
+    MODES,
     class_cr,
     class_cr_pref,
     complete_extensions,
@@ -214,6 +215,15 @@ class TestAgainstOracles:
         assert set(complete_extensions(fw)) == oracles.complete_oracle(ids, atk)
         assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
         assert greatest_fixed_point(fw) == oracles.g_oracle(ids, atk, grounded)
+
+        def ordered(extensions):
+            return tuple(tuple(a for a in fw.ids if a in e) for e in extensions)
+
+        for mode in MODES:
+            rep = evaluate(fw, mode)
+            assert rep.complete == ordered(complete_extensions(fw, mode))
+            assert rep.stable == ordered(stable_extensions(fw, mode))
+
         rng = random.Random(seed + 1000)
         for _ in range(10):
             s = frozenset(a for a in ids if rng.random() < 0.5)
