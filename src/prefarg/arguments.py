@@ -8,15 +8,17 @@ and the optional query with its negation. The pool is closed under
 canonical negation, which is exactly what the rebut and undercut
 relations need to find their counterarguments.
 
-Enumeration is exhaustive over belief subsets and refuses to run past
-the cap (default 20 beliefs).
+Supports come from one depth-first walk over the belief subsets that
+are consistent with the core, `consistent_subsets`, which also yields
+the preferred subbases in `coherence`. It never enters an inconsistent
+subset, and it refuses to run past the cap (default 20 beliefs).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, Iterator, Sequence, Sized
 
 from .errors import CapExceededError
 from .formulas import Formula, _table_for, negate_canonical, render, unique_formulas
@@ -81,56 +83,64 @@ def check_cap(items: Sized, noun: str, cap: int) -> None:
         raise CapExceededError(f"{len(items)} {noun} exceed the enumeration cap of {cap}")
 
 
-def _minimal_entailing_index_sets(
-    belief_masks: list[int], core_mask: int, goal_mask: int, full: int
-) -> list[tuple[int, ...]]:
-    """Index tuples of the minimal subsets that are consistent and entail the goal.
+def consistent_subsets(masks: Sequence[int], base: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every subset of masks satisfiable together with base, with its model mask.
 
-    Scans by increasing cardinality and prunes supersets of accepted
-    sets, which is sound because consistency is inherited downward and
-    entailment upward.
+    Yields (ascending index tuple, model mask) pairs depth first, in
+    lexicographic order of the tuples. A subset grows only by indices
+    above its highest member, and a branch ends at the first zero mask,
+    since a superset of an unsatisfiable subset stays unsatisfiable.
+    Nothing but the pending branches is kept.
     """
-    n = len(belief_masks)
-    not_goal = full ^ goal_mask
-    found_bits: list[int] = []
-    found: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            if any(fb & bits == fb for fb in found_bits):
-                continue
-            m = core_mask
-            for i in combo:
-                m &= belief_masks[i]
-            if m == 0:
-                continue
-            if m & not_goal:
-                continue
-            found_bits.append(bits)
-            found.append(combo)
-    return found
+    if not base:
+        return
+    pending = [((), base)]
+    while pending:
+        combo, model = pending.pop()
+        yield combo, model
+        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
+            if model & masks[i]:
+                pending.append((combo + (i,), model & masks[i]))
 
 
 def _supports_by_conclusion(
     kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
 ) -> list[list[tuple[BeliefRef, ...]]]:
-    """The minimal supports of each conclusion, in the order given."""
+    """The minimal supports of each conclusion, in the order given.
+
+    One walk over the consistent belief subsets serves every
+    conclusion: a subset supports a conclusion when its model entails
+    it and no subset formed by dropping one member does. Dropping the
+    last member gives the subset's parent in the walk, so only the
+    conclusions its parent leaves open are tested.
+    """
     refs = kb.belief_refs()
     check_cap(refs, "beliefs", cap)
     table = _table_for(itertools.chain(kb.core, *kb.strata, conclusions))
     core_mask = table.conjunction_mask(kb.core)
-    belief_masks = [table.mask(kb.resolve(r)) for r in refs]
-    return [
-        [
-            tuple(refs[i] for i in combo)
-            for combo in _minimal_entailing_index_sets(
-                belief_masks, core_mask, table.mask(c), table.full
-            )
-        ]
-        for c in conclusions
-    ]
+    masks = [table.mask(kb.resolve(r)) for r in refs]
+    outside = [table.full ^ table.mask(c) for c in conclusions]
+    found: list[list[tuple[BeliefRef, ...]]] = [[] for _ in conclusions]
+    # open_at[d]: the conclusions that the branch's subset of size d - 1 does not entail
+    open_at = [range(len(conclusions))]
+    for combo, model in consistent_subsets(masks, core_mask):
+        del open_at[len(combo) + 1:]
+        still, entailed = [], []
+        for k in open_at[-1]:
+            (still if model & outside[k] else entailed).append(k)
+        open_at.append(still)
+        for k in entailed:
+            for j in range(len(combo) - 1):
+                m = core_mask
+                for i in combo[:j] + combo[j + 1:]:
+                    m &= masks[i]
+                if not m & outside[k]:
+                    break
+            else:
+                found[k].append(tuple(refs[i] for i in combo))
+    for supports in found:
+        supports.sort(key=lambda s: (len(s), s))
+    return found
 
 
 def minimal_supports(

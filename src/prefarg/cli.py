@@ -13,10 +13,11 @@ One verb per concept cluster:
 Input kind is inferred from the file suffix (.kb or .af) unless --kind
 says otherwise. Abstract framework files carry their own defeat and
 preference relations, so --defeat, --pref and --query are rejected for
-them. --cap must be at least 0. A formula, in a .kb line or in --query,
-nested more than 100 levels deep is a parse error. Exit codes: 0
-success, 1 usage or parse error, 2 enumeration cap exceeded, 3
-invariant failure from the check subcommand.
+them. --cap must be at least 0. An input file that is not valid UTF-8
+is a parse error, and so is a formula, in a .kb line or in --query,
+nested more than 100 levels deep. Exit codes: 0 success, 1 usage or
+parse error, 2 enumeration cap exceeded, 3 invariant failure from the
+check subcommand.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaSyntaxError, KBFormatError, AFFormatError) as exc:
         sys.stderr.write(f"prefarg: error: {exc}\n")
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"prefarg: error: {exc}\n")
         return 1
     except CapExceededError as exc:

@@ -17,7 +17,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, build_universe, check_cap, supp_of
+from .arguments import (
+    DEFAULT_CAP,
+    Argument,
+    ArgumentUniverse,
+    build_universe,
+    check_cap,
+    consistent_subsets,
+    supp_of,
+)
 from .formulas import Formula, _table_for, render
 from .framework import PreferenceRelation, build_framework
 from .kb import BeliefRef, StratifiedKB
@@ -37,28 +45,26 @@ class Subbase:
         return tuple(kb.resolve(r) for r in self.refs)
 
 
-def _maximal_augmentations(
-    refs: list[BeliefRef], masks: list[int], prefix_mask: int
-) -> list[tuple[tuple[BeliefRef, ...], int]]:
-    """Maximal subsets of refs whose masks stay satisfiable with the prefix.
+def _maximal_subbases(kb: StratifiedKB, groups: list[list[BeliefRef]], cap: int) -> list[Subbase]:
+    """Selections that are maximal consistent within each group, groups taken in order.
 
-    Satisfiability is closed under removal, so a subset is maximal as
-    soon as no single further belief can join it.
+    Every consistent subset of a group extends every selection kept
+    from the groups before it; it is kept when no further belief of its
+    group can join it, as satisfiability is closed under removal.
     """
-    m = len(refs)
-    model = [0] * (1 << m)
-    model[0] = prefix_mask
-    for s in range(1, 1 << m):
-        low = s & -s
-        model[s] = model[s ^ low] & masks[low.bit_length() - 1]
-    out = []
-    for s in range(1 << m):
-        if model[s] == 0:
-            continue
-        if any(not s >> i & 1 and model[s | 1 << i] != 0 for i in range(m)):
-            continue
-        out.append((tuple(refs[i] for i in range(m) if s >> i & 1), model[s]))
-    return out
+    check_cap(kb.belief_refs(), "beliefs", cap)
+    table = _table_for(itertools.chain(kb.core, *kb.strata))
+    branches: list[tuple[tuple[BeliefRef, ...], int]] = [((), table.conjunction_mask(kb.core))]
+    for group in groups:
+        masks = [table.mask(kb.resolve(r)) for r in group]
+        grown = []
+        for kept, prefix_mask in branches:
+            for combo, model in consistent_subsets(masks, prefix_mask):
+                chosen = set(combo)
+                if not any(model & m for i, m in enumerate(masks) if i not in chosen):
+                    grown.append((kept + tuple(group[i] for i in combo), model))
+        branches = grown
+    return sorted((Subbase(kept) for kept, _ in branches), key=lambda sb: sb.refs)
 
 
 def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
@@ -66,24 +72,15 @@ def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
 
     A selection qualifies when, at every stratum j, the beliefs kept
     from strata 1..j form a maximal consistent subset of those strata
-    together with the core. The enumeration extends each partial
-    selection with every maximal consistent augmentation from the next
-    stratum; maximality of the earlier prefix is never disturbed because
+    together with the core. Stratum by stratum, the consistent-subset
+    walk runs from the model of each partial selection, and every
+    augmentation that no further belief of the stratum can join extends
+    it; maximality of the earlier prefix is never disturbed because
     anything it excluded stays contradictory in any superset.
     """
-    check_cap(kb.belief_refs(), "beliefs", cap)
-    table = _table_for(itertools.chain(kb.core, *kb.strata))
-    core_mask = table.conjunction_mask(kb.core)
-    branches: list[tuple[tuple[BeliefRef, ...], int]] = [((), core_mask)]
-    for stratum_index, stratum in enumerate(kb.strata, start=1):
-        refs = [BeliefRef(stratum_index, pos) for pos in range(len(stratum))]
-        masks = [table.mask(f) for f in stratum]
-        grown = []
-        for kept, prefix_mask in branches:
-            for pick, pick_mask in _maximal_augmentations(refs, masks, prefix_mask):
-                grown.append((kept + pick, pick_mask))
-        branches = grown
-    return sorted((Subbase(kept) for kept, _ in branches), key=lambda sb: sb.refs)
+    groups = [[BeliefRef(j, pos) for pos in range(len(stratum))]
+              for j, stratum in enumerate(kb.strata, start=1)]
+    return _maximal_subbases(kb, groups, cap)
 
 
 def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
@@ -97,13 +94,7 @@ def intersection_incl(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> frozenset[Bel
 
 def max_consistent_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """Maximal selections consistent with the core, stratification ignored."""
-    refs = list(kb.belief_refs())
-    check_cap(refs, "beliefs", cap)
-    table = _table_for(itertools.chain(kb.core, *kb.strata))
-    masks = [table.mask(kb.resolve(r)) for r in refs]
-    core_mask = table.conjunction_mask(kb.core)
-    picks = _maximal_augmentations(refs, masks, core_mask)
-    return sorted((Subbase(pick) for pick, _ in picks), key=lambda sb: sb.refs)
+    return _maximal_subbases(kb, [list(kb.belief_refs())], cap)
 
 
 def arg_of(

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .arguments import Argument, ArgumentUniverse
 from .errors import AFFormatError
-from .formulas import Not, _table_for, equivalent
+from .formulas import _table_for
 
 DEFEAT_KINDS = ("rebut", "undercut", "abstract")
 
@@ -97,22 +97,6 @@ class PreferenceRelation:
             for b in arguments
             if a.id != b.id and self.prefers(a, b)
         ]
-
-
-def rebuts(a: Argument, b: Argument) -> bool:
-    """True iff a's conclusion is equivalent to the negation of b's."""
-    if a.conclusion is None or b.conclusion is None:
-        raise ValueError("rebut is undefined for abstract arguments")
-    return equivalent(a.conclusion, Not(b.conclusion))
-
-
-def undercuts(a: Argument, b: Argument) -> bool:
-    """True iff a's conclusion is equivalent to the negation of a support member of b."""
-    if a.conclusion is None:
-        raise ValueError("undercut is undefined for abstract arguments")
-    if b.support_formulas is None:
-        raise ValueError("undercut is undefined for abstract arguments")
-    return any(equivalent(a.conclusion, Not(k)) for k in b.support_formulas)
 
 
 class Framework:
@@ -197,8 +181,8 @@ def build_framework(
     """Compute all pairwise defeats over a universe and derive the attacks.
 
     The pairwise tests run on truth masks over one shared table, so the
-    n^2 sweep stays cheap; rebuts/undercuts give the same answers edge
-    by edge.
+    n^2 sweep stays cheap: two formulas are equivalent exactly when
+    their masks are equal, which decides both defeat kinds edge by edge.
     """
     if defeat not in ("rebut", "undercut"):
         raise ValueError(f"defeat must be 'rebut' or 'undercut', got {defeat!r}")

@@ -66,6 +66,20 @@ def equivalent(f: Formula, g: Formula) -> bool:
     return all(eval_formula(f, a) == eval_formula(g, a) for a in assignments(names))
 
 
+def rebuts(a, b) -> bool:
+    """True iff a's conclusion is equivalent to the negation of b's."""
+    if a.conclusion is None or b.conclusion is None:
+        raise ValueError("rebut is undefined for abstract arguments")
+    return equivalent(a.conclusion, Not(b.conclusion))
+
+
+def undercuts(a, b) -> bool:
+    """True iff a's conclusion is equivalent to the negation of a support member of b."""
+    if a.conclusion is None or b.support_formulas is None:
+        raise ValueError("undercut is undefined for abstract arguments")
+    return any(equivalent(a.conclusion, Not(k)) for k in b.support_formulas)
+
+
 def subsets(items):
     items = list(items)
     for r in range(len(items) + 1):

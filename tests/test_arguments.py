@@ -98,8 +98,11 @@ class TestMinimalSupports:
     def test_matches_brute_force(self, seed):
         base, universe = randgen.random_kb(random.Random(seed))
         for conclusion in candidate_conclusions(base, universe.query):
-            got = {frozenset(s) for s in minimal_supports(base, conclusion)}
-            assert got == set(oracles.minimal_supports_oracle(base, conclusion))
+            found = minimal_supports(base, conclusion)
+            assert {frozenset(s) for s in found} == set(
+                oracles.minimal_supports_oracle(base, conclusion)
+            )
+            assert found == sorted(found, key=lambda s: (len(s), s))
 
 
 class TestBuildUniverse:

@@ -313,6 +313,17 @@ class TestInputHandling:
         assert code == 1
         assert "prefarg: error:" in err
 
+    @pytest.mark.parametrize("suffix", [".kb", ".af"])
+    def test_input_not_utf8_is_parse_error(self, run, tmp_path, suffix):
+        target = tmp_path / f"binary{suffix}"
+        target.write_bytes(b"\xff")
+        for command in ("arguments", "extensions", "accept", "coherence", "graph", "check"):
+            code, out, err = run(command, str(target))
+            assert (code, out) == (1, "")
+            assert err.startswith("prefarg: error: ")
+            assert "can't decode byte 0xff" in err
+            assert err.count("\n") == 1
+
     def test_malformed_kb(self, run, tmp_path):
         target = tmp_path / "bad.kb"
         target.write_text("[stratum 2]\np\n", encoding="utf-8")

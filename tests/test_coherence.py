@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -137,9 +138,12 @@ class TestSmallBases:
 
 
 class TestAgainstOracles:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_random_bases(self, seed):
-        kb, _ = randgen.random_kb(random.Random(seed), max_universe=12)
+    @pytest.mark.parametrize("case", [*range(25), "empty-stratum"])
+    def test_random_bases(self, case):
+        if case == "empty-stratum":
+            kb = parse_kb("[stratum 1]\n[stratum 2]\np\n")
+        else:
+            kb, _ = randgen.random_kb(random.Random(case), max_universe=12)
         assert [frozenset(sb.refs) for sb in incl_subbases(kb)] == sorted(
             oracles.incl_oracle(kb), key=lambda s: tuple(sorted(s))
         )
@@ -161,6 +165,19 @@ class TestGuards:
             incl_subbases(kb, cap=8)
         with pytest.raises(CapExceededError):
             max_consistent_subbases(kb, cap=8)
+
+    @pytest.mark.parametrize("select", [max_consistent_subbases, incl_subbases])
+    def test_memory_stays_small_on_independent_beliefs(self, select):
+        # 2^14 consistent subsets; none may be kept at once
+        kb = parse_kb("[stratum 1]\n" + "\n".join(f"p{i}" for i in range(14)))
+        tracemalloc.start()
+        try:
+            (only,) = select(kb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert only.refs == kb.belief_refs()
+        assert peak < 4_000_000
 
     def test_foreign_universe_rejected(self):
         kb = parse_kb("[stratum 1]\np")

@@ -5,6 +5,7 @@ import pytest
 import oracles
 import randgen
 from conftest import fixture_text
+from oracles import rebuts, undercuts
 from prefarg.arguments import Argument, build_universe
 from prefarg.errors import AFFormatError
 from prefarg.formulas import parse_formula
@@ -15,8 +16,6 @@ from prefarg.framework import (
     build_framework,
     framework_to_json,
     parse_abstract_framework,
-    rebuts,
-    undercuts,
 )
 from prefarg.kb import parse_kb
 

@@ -2,11 +2,16 @@
 
 Inputs mix grammar tokens (so that many of them get deep into the
 parsers), deep nesting well past the formula depth limit, and arbitrary
-characters.
+characters. Arbitrary bytes also go through the command line, which
+must answer with an exit code, never an exception.
 """
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from prefarg.cli import main
 from prefarg.errors import PrefArgError
 from prefarg.formulas import parse_formula
 from prefarg.framework import parse_abstract_framework
@@ -77,3 +82,14 @@ def test_parse_kb(text):
 @given(af_text())
 def test_parse_abstract_framework(text):
     parses_or_refuses(parse_abstract_framework, text)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=60), st.sampled_from([".kb", ".af"]))
+@example(b"\xff", ".kb")
+def test_cli_on_arbitrary_bytes(data, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / f"input{suffix}"
+        target.write_bytes(data)
+        code = main(["extensions", str(target), "--cap", "8"])
+    assert code in (0, 1, 2)
