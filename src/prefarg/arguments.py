@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Sized
 
 from .errors import CapExceededError
@@ -58,11 +59,15 @@ class ArgumentUniverse:
     candidates: tuple[Formula, ...]
     arguments: tuple[Argument, ...]
 
+    @cached_property
+    def _by_id(self) -> dict[str, Argument]:
+        return {a.id: a for a in self.arguments}
+
     def argument(self, arg_id: str) -> Argument:
-        for a in self.arguments:
-            if a.id == arg_id:
-                return a
-        raise ValueError(f"no argument {arg_id!r} in universe")
+        try:
+            return self._by_id[arg_id]
+        except KeyError:
+            raise ValueError(f"no argument {arg_id!r} in universe") from None
 
 
 def candidate_conclusions(kb: StratifiedKB, query: Formula | None = None) -> tuple[Formula, ...]:

@@ -10,6 +10,11 @@ One verb per concept cluster:
     prefarg graph      base.kb --query "p"      DOT attack graph
     prefarg check      graph.af                 run the invariant suite
 
+Every subcommand takes --kind, --query, --format and --cap.
+extensions, accept, graph and check also take --defeat and --pref;
+extensions and accept take --mode; only extensions takes --semantics.
+Any other flag is a usage error.
+
 Input kind is inferred from the file suffix (.kb or .af) unless --kind
 says otherwise. Abstract framework files carry their own defeat and
 preference relations, so --defeat, --pref and --query are rejected for
@@ -48,31 +53,37 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="prefarg", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("arguments", "enumerate the argument universe of a knowledge base"),
-        ("extensions", "compute acceptance classes and extensions"),
-        ("accept", "decide whether a query conclusion is accepted"),
-        ("coherence", "enumerate preferred subbases and cross-check extensions"),
-        ("graph", "emit the attack graph in DOT format"),
-        ("check", "run the semantic invariant suite on the input"),
+    for name, help_text, flags in (
+        ("arguments", "enumerate the argument universe of a knowledge base", ()),
+        ("extensions", "compute acceptance classes and extensions",
+         ("--defeat", "--pref", "--mode", "--semantics")),
+        ("accept", "decide whether a query conclusion is accepted",
+         ("--defeat", "--pref", "--mode")),
+        ("coherence", "enumerate preferred subbases and cross-check extensions", ()),
+        ("graph", "emit the attack graph in DOT format", ("--defeat", "--pref")),
+        ("check", "run the semantic invariant suite on the input", ("--defeat", "--pref")),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a .kb or .af file")
         p.add_argument("--kind", choices=("kb", "af"), help="override the inferred input kind")
-        p.add_argument("--defeat", choices=("rebut", "undercut"), default=None,
-                       help="defeat relation for knowledge bases (default undercut)")
-        p.add_argument("--pref", choices=("certainty", "none"), default=None,
-                       help="preference for knowledge bases (default certainty)")
-        p.add_argument("--mode", choices=("weak", "strict"), default="weak",
-                       help="conflict-free test: attack edges or all defeat edges")
+        if "--defeat" in flags:
+            p.add_argument("--defeat", choices=("rebut", "undercut"), default=None,
+                           help="defeat relation for knowledge bases (default undercut)")
+        if "--pref" in flags:
+            p.add_argument("--pref", choices=("certainty", "none"), default=None,
+                           help="preference for knowledge bases (default certainty)")
+        if "--mode" in flags:
+            p.add_argument("--mode", choices=("weak", "strict"), default="weak",
+                           help="conflict-free test: attack edges or all defeat edges")
         p.add_argument("--query", default=None, metavar="FORMULA",
                        help="query conclusion (knowledge bases only)")
         p.add_argument("--format", choices=("text", "json", "dot"), default="text",
                        dest="fmt", help="output format")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="enumeration cap on arguments and beliefs")
-        p.add_argument("--semantics", choices=("grounded", "complete", "stable", "all"),
-                       default="all", help="which extension families to report")
+        if "--semantics" in flags:
+            p.add_argument("--semantics", choices=("grounded", "complete", "stable", "all"),
+                           default="all", help="which extension families to report")
     return parser
 
 
@@ -91,7 +102,7 @@ def _load(args) -> tuple[StratifiedKB | None, Framework | None]:
     if kind == "kb":
         return parse_kb(text), None
     for flag in ("defeat", "pref", "query"):
-        if getattr(args, flag) is not None:
+        if getattr(args, flag, None) is not None:
             raise SystemExit(_usage(args, f"--{flag} does not apply to abstract framework input"))
     return None, parse_abstract_framework(text)
 

@@ -295,9 +295,20 @@ def _subset_pool(n: int) -> list[int]:
 def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
-    Subset-quantified laws are checked over every subset when the
-    framework is small, otherwise over a seeded random pool. Extension
-    laws need full enumeration and are skipped above the cap.
+    f_step, g_step and weak conflict-freeness are computed once for each
+    subset in the pool, and every subset-quantified law reads those three
+    tables. The pool is every subset when the framework is small, and a
+    seeded random sample above MAX_EXHAUSTIVE arguments.
+
+    On the exhaustive pool, f_monotone and g_antimonotone compare each
+    subset with itself minus one member (covering pairs), and
+    stable_maximal_conflict_free adds one member to each stable set. The
+    verdicts are those of all subset pairs and all supersets: every chain
+    of removals stays in the pool, so a violating pair has a violating
+    covering pair on its chain, and any subset of a conflict-free set is
+    conflict-free. The sampled pool keeps four random sub-subsets per
+    member for monotonicity. Extension laws need full enumeration and are
+    skipped above the cap or MAX_EXHAUSTIVE.
     """
     n = len(fw.arguments)
     full = (1 << n) - 1
@@ -305,6 +316,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     pool = _subset_pool(n)
     f_of = {s: _f_mask(fw, s) for s in pool}
     g_of = {s: _g_mask(fw, s) for s in pool}
+    cf_of = {s: _conflict_free_mask(fw, s, "weak") for s in pool}
     results: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -320,61 +332,42 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     else:
         results.append(CheckResult("empty_preference_keeps_all_defeats", "skipped",
                                    "preference is not empty"))
-    args = fw.arguments
-    strict_ok = True
-    for a in args:
-        for b in args:
-            if fw.preference.prefers(a, b) and fw.preference.prefers(b, a):
-                strict_ok = False
-    transitive_ok = True
-    strict = {(a.id, b.id) for a in args for b in args if fw.preference.prefers(a, b)}
+    strict = fw.preference.strict_pairs(fw.arguments)
+    below: dict[str, set[str]] = {}
     for x, y in strict:
-        for y2, z in strict:
-            if y == y2 and x != z and (x, z) not in strict:
-                transitive_ok = False
-    record("preference_strict_part_asymmetric", strict_ok)
-    record("preference_strict_part_transitive", transitive_ok)
+        below.setdefault(x, set()).add(y)
+    record("preference_strict_part_asymmetric",
+           not any(x in below.get(y, ()) for x, y in strict))
+    record("preference_strict_part_transitive",
+           all(z == x or z in below[x] for x, y in strict for z in below.get(y, ())))
 
     # Pointwise operator laws over the pool.
     unattacked = _mask_of(fw, class_cr_pref(fw))
     record("f_of_empty_is_unattacked_class", f_of[0] == unattacked)
     record("g_of_empty_is_everything", g_of[0] == full)
-    record("g_of_everything_is_unattacked_class", _g_mask(fw, full) == unattacked)
+    record("g_of_everything_is_unattacked_class", g_of[full] == unattacked)
     record("unattacked_class_conflict_free", _conflict_free_mask(fw, unattacked, "weak"))
+    record("conflict_free_iff_within_g", all(cf_of[s] == (s & ~g_of[s] == 0) for s in pool))
+    record("f_preserves_conflict_freeness", all(
+        cf_of[fs] if fs in cf_of else _conflict_free_mask(fw, fs, "weak")
+        for fs in (f_of[s] for s in pool if cf_of[s])
+    ))
 
-    cf_ok = True
-    f_cf_ok = True
-    for s in pool:
-        if _conflict_free_mask(fw, s, "weak") != (s & ~g_of[s] == 0):
-            cf_ok = False
-        if _conflict_free_mask(fw, s, "weak") and not _conflict_free_mask(fw, f_of[s], "weak"):
-            f_cf_ok = False
-    record("conflict_free_iff_within_g", cf_ok)
-    record("f_preserves_conflict_freeness", f_cf_ok)
-
-    # Monotonicity over subset pairs.
+    # Monotonicity: covering pairs on the exhaustive pool, four random
+    # sub-subsets per member on the sampled one.
     f_mono = True
     g_anti = True
-    if exhaustive:
-        for s in pool:
-            sub = s
-            while True:
-                sub = (sub - 1) & s
-                if f_of[sub] & ~f_of[s]:
-                    f_mono = False
-                if g_of[s] & ~g_of[sub]:
-                    g_anti = False
-                if sub == 0:
-                    break
-    else:
-        rng = random.Random(SAMPLE_SEED + 1)
-        for s in pool:
-            for _ in range(4):
-                sub = s & rng.getrandbits(n)
-                if _f_mask(fw, sub) & ~f_of[s]:
-                    f_mono = False
-                if g_of[s] & ~_g_mask(fw, sub):
-                    g_anti = False
+    rng = random.Random(SAMPLE_SEED + 1)
+    for s in pool:
+        if exhaustive:
+            subs = [s ^ 1 << i for i in _bits(s)]
+        else:
+            subs = [s & rng.getrandbits(n) for _ in range(4)]
+        for sub in subs:
+            if (f_of[sub] if sub in f_of else _f_mask(fw, sub)) & ~f_of[s]:
+                f_mono = False
+            if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub)):
+                g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)
 
@@ -392,18 +385,18 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     record("grounded_is_union_of_f_chain", union == grounded, show(union))
 
     gfp = _g_mask(fw, grounded)
+    gfp_conflict_free = _conflict_free_mask(fw, gfp, "weak")
     record("gfp_is_fixed_point_of_f", _f_mask(fw, gfp) == gfp)
     # Conflict-freeness of the greatest fixed point collapses the whole
     # fixed-point interval: any member outside the grounded extension
     # keeps an attacker inside the gfp.
     record(
         "gfp_conflict_free_iff_equals_grounded",
-        _conflict_free_mask(fw, gfp, "weak") == (gfp == grounded),
+        gfp_conflict_free == (gfp == grounded),
         show(gfp),
     )
 
     # Fixed-point laws over the pool, including the f/g interchange tally.
-    fgf_checked = 0
     fgf_mismatch = 0
     fgf_f_fp_mismatch = 0
     fgf_g_fp_mismatch = 0
@@ -413,11 +406,9 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     for s in pool:
         fs = f_of[s]
         gs = g_of[s]
-        fgf_checked += 1
-        gfs = g_of[fs] if fs in g_of else _g_mask(fw, fs)
-        if _g_mask(fw, gs) != fs:
+        if (g_of[gs] if gs in g_of else _g_mask(fw, gs)) != fs:
             f_is_g_twice_ok = False
-        if fs != gfs:
+        if fs != (g_of[fs] if fs in g_of else _g_mask(fw, fs)):
             fgf_mismatch += 1
             if fs == s:
                 fgf_f_fp_mismatch += 1
@@ -426,7 +417,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
         if fs == s:
             if s & ~gfp or grounded & ~s:
                 sandwich_ok = False
-            if _f_mask(fw, gs) != gs:
+            if (f_of[gs] if gs in f_of else _f_mask(fw, gs)) != gs:
                 g_fp_ok = False
     record("fixed_points_between_grounded_and_gfp", sandwich_ok)
     record("g_of_fixed_point_is_fixed_point", g_fp_ok)
@@ -434,7 +425,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     record("f_g_interchange_at_g_fixed_points", fgf_g_fp_mismatch == 0,
            f"{fgf_g_fp_mismatch} mismatches at fixed points of g_step")
     record("f_g_interchange_diagnostic", True,
-           f"{fgf_mismatch}/{fgf_checked} pool subsets differ, "
+           f"{fgf_mismatch}/{len(pool)} pool subsets differ, "
            f"{fgf_f_fp_mismatch} at fixed points of f_step")
 
     # Extension laws need full enumeration.
@@ -443,41 +434,22 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
         stable = [s for s in complete if g_of[s] == s]
         record("grounded_is_complete", grounded in complete)
         record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))
-        # The pool holds every subset here, so this finds every stable set.
-        stable_by_definition = []
-        stable_char_ok = True
-        for s in pool:
-            is_stable = _conflict_free_mask(fw, s, "weak") and g_of[s] == s
-            attacks_outside = _conflict_free_mask(fw, s, "weak") and (
-                full & ~s & ~_attacked_by(fw, s) == 0
-            )
-            if is_stable != attacks_outside:
-                stable_char_ok = False
-            if is_stable:
-                stable_by_definition.append(s)
-        record("stable_implies_complete", set(stable_by_definition) <= set(complete))
-        record("stable_iff_attacks_every_outsider", stable_char_ok)
-        maximal_ok = True
-        for s in stable:
-            rest = full & ~s
-            sup = rest
-            while True:
-                candidate = s | sup
-                if candidate != s and _conflict_free_mask(fw, candidate, "weak"):
-                    maximal_ok = False
-                if sup == 0:
-                    break
-                sup = (sup - 1) & rest
-            if not maximal_ok:
-                break
-        record("stable_maximal_conflict_free", maximal_ok)
+        # The pool holds every subset here, so this finds every stable set;
+        # S attacks every outsider exactly when g_step(S) lies within S.
+        record("stable_implies_complete",
+               {s for s in pool if cf_of[s] and g_of[s] == s} <= set(complete))
+        record("stable_iff_attacks_every_outsider", all(
+            (g_of[s] == s) == (g_of[s] & ~s == 0) for s in pool if cf_of[s]
+        ))
+        record("stable_maximal_conflict_free",
+               not any(cf_of[s | 1 << i] for s in stable for i in _bits(full & ~s)))
         # Only one direction is sound: a conflict-free gfp forces the
         # grounded extension to be the sole complete extension. The
         # converse fails whenever an odd attack cycle (a self-attack
         # included) leaves extra fixed points that are not conflict-free.
         record(
             "gfp_conflict_free_implies_unique_complete",
-            not _conflict_free_mask(fw, gfp, "weak") or complete == [grounded],
+            not gfp_conflict_free or complete == [grounded],
         )
     else:
         for name in (
@@ -492,7 +464,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
 
     return SelfCheckReport(
         results=tuple(results),
-        fgf_checked=fgf_checked,
+        fgf_checked=len(pool),
         fgf_mismatches=fgf_mismatch,
         fgf_f_fixed_point_mismatches=fgf_f_fp_mismatch,
         fgf_g_fixed_point_mismatches=fgf_g_fp_mismatch,

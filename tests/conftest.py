@@ -6,6 +6,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# `python -m` puts the working directory first on sys.path, so a child
+# process started here imports the package from this source tree.
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 import randgen
-from conftest import ACCEPTANCE_LINES, FIXTURES, fixture_text
+from conftest import ACCEPTANCE_LINES, FIXTURES, SRC, fixture_text
 from prefarg.arguments import build_universe, minimal_supports
 from prefarg.coherence import check_correspondence, incl_subbases
 from prefarg.formulas import parse_formula
@@ -126,7 +126,7 @@ def test_criterion_4_reinstatement_and_verdict():
     proc = subprocess.run(
         [sys.executable, "-m", "prefarg.cli", "accept",
          str(FIXTURES / "example3.kb"), "--query", "p", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=SRC,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["accepted"] is True
@@ -337,8 +337,8 @@ def test_criterion_9_byte_identical_reruns():
     for name in ALL_FIXTURES:
         cmd = [sys.executable, "-m", "prefarg.cli", "extensions",
                str(FIXTURES / name), "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, cwd=SRC)
+        second = subprocess.run(cmd, capture_output=True, cwd=SRC)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
     clock.verdict(9, "pass", "extensions json byte-identical across reruns, all fixtures")

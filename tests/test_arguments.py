@@ -161,8 +161,16 @@ class TestBuildUniverse:
     def test_argument_lookup(self):
         universe = build_universe(example2())
         assert universe.argument("A4").conclusion == Atom("b")
-        with pytest.raises(ValueError):
+        assert all(universe.argument(a.id) is a for a in universe.arguments)
+        with pytest.raises(ValueError, match="no argument 'A99' in universe"):
             universe.argument("A99")
+
+    def test_lookup_leaves_equality_and_hash_alone(self):
+        one = build_universe(example2())
+        two = build_universe(example2())
+        one.argument("A1")
+        assert one == two
+        assert hash(one) == hash(two)
 
     def test_cap_guard(self):
         kb = parse_kb("[stratum 1]\n" + "\n".join(f"p{i}" for i in range(6)) + "\n")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -289,6 +291,52 @@ class TestCheck:
         assert "self_check: FAILED" in out
 
 
+def _seeded_af(rng, n):
+    names = [f"N{i}" for i in range(n)]
+    lines = [" ".join(f"arg({x})." for x in names)]
+    lines += [f"def({x},{y})." for x in names for y in names if rng.random() < 0.15]
+    lines += [f"pref({rng.choice(names)},{rng.choice(names)})." for _ in range(n // 3)]
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_kb(rng):
+    lines = []
+    for stratum in (1, 2, 3):
+        lines.append(f"[stratum {stratum}]")
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.sample("abcd", 2)
+            lines.append(rng.choice([a, f"!{a}", f"{a} -> {b}", f"{a} | !{b}", f"{a} & {b}"]))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of `check --format json` over the inputs below: a reworded
+# detail, a reordered law or a changed tally moves it.
+CHECK_JSON_DIGEST = "82204d6c736f4a409d75f8ca2907aabad4073b0c3d0b6523d10131b88554c346"
+
+
+class TestCheckGolden:
+    def test_json_digest(self, run, tmp_path):
+        inputs = [(name, fx(name)) for name in (
+            "example1.af", "example1_pref.af", "self_attack.af", "example4.af",
+            "example2.kb", "example3.kb",
+        )]
+        # 12 and 13 arguments sit on both sides of MAX_EXHAUSTIVE; the
+        # bases below yield 8, 10, 11 and 13 arguments.
+        for n in (5, 9, 12, 13, 15):
+            target = tmp_path / f"seeded{n}.af"
+            target.write_text(_seeded_af(random.Random(n), n), encoding="utf-8")
+            inputs.append((target.name, str(target)))
+        for seed in (0, 3, 4, 9):
+            target = tmp_path / f"seeded{seed}.kb"
+            target.write_text(_seeded_kb(random.Random(seed)), encoding="utf-8")
+            inputs.append((target.name, str(target)))
+        digest = hashlib.sha256()
+        for name, path in inputs:
+            code, out, _ = run("check", path, "--format", "json")
+            digest.update(f"{name} {code}\n{out}".encode())
+        assert digest.hexdigest() == CHECK_JSON_DIGEST
+
+
 class TestInputHandling:
     def test_kind_override(self, run, tmp_path):
         target = tmp_path / "plain.txt"
@@ -307,6 +355,22 @@ class TestInputHandling:
         code, _, err = run("extensions", fx("example1.af"), flag, value)
         assert code == 1
         assert f"{flag} does not apply" in err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        *[("arguments", f, v) for f, v in (
+            ("--defeat", "rebut"), ("--pref", "none"), ("--mode", "strict"),
+            ("--semantics", "grounded"))],
+        *[("coherence", f, v) for f, v in (
+            ("--defeat", "rebut"), ("--pref", "none"), ("--mode", "strict"),
+            ("--semantics", "grounded"))],
+        ("accept", "--semantics", "grounded"),
+        ("graph", "--mode", "strict"), ("graph", "--semantics", "grounded"),
+        ("check", "--mode", "strict"), ("check", "--semantics", "grounded"),
+    ])
+    def test_flag_the_subcommand_ignores_is_usage_error(self, run, command, flag, value):
+        code, out, err = run(command, fx("example2.kb"), "--query", "b", flag, value)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_missing_file(self, run):
         code, _, err = run("extensions", "no_such_file.af")

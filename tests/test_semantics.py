@@ -8,9 +8,11 @@ from conftest import fixture_text
 from prefarg.errors import CapExceededError
 from prefarg.framework import parse_abstract_framework
 from prefarg.kb import parse_kb
-from prefarg.arguments import build_universe
-from prefarg.framework import build_framework
+from prefarg import semantics
+from prefarg.arguments import Argument, build_universe
+from prefarg.framework import Framework, PreferenceRelation, build_framework
 from prefarg.semantics import (
+    MAX_EXHAUSTIVE,
     MODES,
     class_cr,
     class_cr_pref,
@@ -30,6 +32,32 @@ from prefarg.semantics import (
 
 def load(name):
     return parse_abstract_framework(fixture_text(name))
+
+
+def chain(n):
+    facts = [f"arg(N{i})." for i in range(n)]
+    facts += [f"def(N{i},N{i + 1})." for i in range(n - 1)]
+    return parse_abstract_framework("\n".join(facts))
+
+
+def _full(fw):
+    return (1 << len(fw.arguments)) - 1
+
+
+# Planted operator faults: the operator to replace and its replacement,
+# built from the real one. Mask 1 is the first argument alone, which
+# neither the grounded iteration nor the f-chain of example1.af visits.
+PLANTS = {
+    "f_of_everything_empty": ("_f_mask", lambda real: lambda fw, s: (
+        0 if s == _full(fw) else real(fw, s))),
+    "f_of_first_everything": ("_f_mask", lambda real: lambda fw, s: (
+        _full(fw) if s == 1 else real(fw, s))),
+    "g_of_everything_everything": ("_g_mask", lambda real: lambda fw, s: (
+        _full(fw) if s == _full(fw) else real(fw, s))),
+    "g_fixes_first": ("_g_mask", lambda real: lambda fw, s: s if s == 1 else real(fw, s)),
+    "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode: (
+        s == _full(fw) or real(fw, s, mode))),
+}
 
 
 class TestMutualConflictPair:
@@ -273,10 +301,7 @@ class TestSelfCheck:
         assert rep.fgf_g_fixed_point_mismatches == 0
 
     def test_large_framework_skips_enumeration_checks(self):
-        facts = [f"arg(N{i})." for i in range(25)]
-        facts += [f"def(N{i},N{i + 1})." for i in range(24)]
-        fw = parse_abstract_framework("\n".join(facts))
-        rep = self_check(fw)
+        rep = self_check(chain(25))
         assert rep.ok
         skipped = {r.name for r in rep.results if r.status == "skipped"}
         assert "grounded_is_complete" in skipped
@@ -287,3 +312,34 @@ class TestSelfCheck:
         for _ in range(40):
             rep = self_check(randgen.random_framework(rng))
             assert rep.ok, [r for r in rep.results if r.status == "fail"]
+
+    @pytest.mark.parametrize("law,plant,fw_name", [
+        ("f_monotone", "f_of_everything_empty", "example1.af"),
+        ("f_monotone", "f_of_everything_empty", "chain13"),
+        ("g_antimonotone", "g_of_everything_everything", "example1.af"),
+        ("g_antimonotone", "g_of_everything_everything", "chain13"),
+        ("g_of_everything_is_unattacked_class", "g_of_everything_everything", "example1.af"),
+        ("g_of_everything_is_unattacked_class", "g_of_everything_everything", "chain13"),
+        ("conflict_free_iff_within_g", "everything_conflict_free", "example1.af"),
+        ("conflict_free_iff_within_g", "everything_conflict_free", "chain13"),
+        ("f_preserves_conflict_freeness", "f_of_first_everything", "example1.af"),
+        ("stable_implies_complete", "g_fixes_first", "example1.af"),
+        ("stable_iff_attacks_every_outsider", "everything_conflict_free", "example1.af"),
+        ("stable_maximal_conflict_free", "everything_conflict_free", "example1.af"),
+    ])
+    def test_planted_violation_fails(self, monkeypatch, law, plant, fw_name):
+        fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "pass"
+        name, build = PLANTS[plant]
+        monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "fail"
+
+    def test_planted_intransitive_preference_fails(self):
+        # Built directly, so the explicit relation skips its closure.
+        pref = PreferenceRelation("explicit", frozenset({("A", "B"), ("B", "C")}))
+        fw = Framework([Argument(x) for x in "ABC"], [], pref, "abstract")
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status["preference_strict_part_transitive"] == "fail"
+        assert status["preference_strict_part_asymmetric"] == "pass"
