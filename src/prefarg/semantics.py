@@ -14,9 +14,12 @@ Conflict-freeness is checked against attack edges by default ("weak");
 would cancel them.
 
 Sets travel as frozensets of argument ids at the public boundary and as
-position bitmasks internally. Subset enumeration refuses to run past
-the cap (default 20 arguments); the grounded computation is polynomial
-and never capped.
+position bitmasks internally. Complete extensions come from one
+depth-first search that starts at the grounded extension, propagates
+what f_step forces and what it rules out, and branches only on
+arguments left undecided; stable extensions are the complete ones that
+g_step fixes. The search refuses to run past the cap (default 20
+arguments); the grounded computation is polynomial and never capped.
 """
 
 from __future__ import annotations
@@ -129,14 +132,65 @@ def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
         s = nxt
 
 
-def _fixed_points(fw: Framework, mode: str, cap: int, step) -> list[int]:
-    """Conflict-free masks that step maps to themselves, by size then bitmask."""
+def _propagate(fw: Framework, s: int, cand: int, clash: list[int]) -> tuple[int, int] | None:
+    """Narrow one search node, or None when no complete extension lies in it.
+
+    A complete extension E with S within E within S | cand contains
+    f_step(S), since f_step is monotone, and lies within f_step(S | cand).
+    So f_step(S) joins S, each new member dropping the candidates it
+    clashes with, and the candidates outside f_step(S | cand) are dropped,
+    until neither changes. Every round but the last takes at least one
+    argument out of cand, so a node takes at most n + 1 rounds.
+    """
+    while True:
+        grow = _f_mask(fw, s) & ~s
+        for i in _bits(grow):
+            if not cand >> i & 1:
+                return None
+            s |= 1 << i
+            cand &= ~clash[i]
+        if grow:
+            continue
+        up = _f_mask(fw, s | cand)
+        if s & ~up:
+            return None
+        if not cand & ~up:
+            return s, cand
+        cand &= up
+
+
+def _fixed_points(fw: Framework, mode: str, cap: int) -> list[int]:
+    """Complete extensions as masks, by size then bitmask.
+
+    A depth-first search over nodes (S, cand): S is the set chosen IN and
+    cand the undecided arguments, none of which clashes with S; a clash is
+    an attack edge ("weak") or a defeat edge ("strict") in either
+    direction. The root starts empty, so its propagation grows the
+    grounded extension. A node with no candidates left is a complete
+    extension; otherwise it branches on its lowest candidate, IN and then
+    excluded, so every extension is emitted once.
+    """
     _check_mode(mode)
     check_cap(fw.arguments, "arguments", cap)
-    out = [
-        s for s in range(1 << len(fw.arguments))
-        if _conflict_free_mask(fw, s, mode) and step(fw, s) == s
-    ]
+    if mode == "strict":
+        targets, sources = fw.defeat_targets_mask, fw.defeaters_mask
+    else:
+        targets, sources = fw.attack_targets_mask, fw.attackers_mask
+    clash = [t | s | 1 << i for i, (t, s) in enumerate(zip(targets, sources))]
+    out = []
+    # A self-attacker is never conflict-free, so it never becomes a candidate.
+    stack = [(0, sum(1 << i for i, t in enumerate(targets) if not t >> i & 1))]
+    while stack:
+        node = _propagate(fw, *stack.pop(), clash)
+        if node is None:
+            continue
+        s, cand = node
+        if not cand:
+            out.append(s)
+            continue
+        low = cand & -cand
+        stack.append((s, cand ^ low))
+        stack.append((s | low, cand & ~clash[low.bit_length() - 1]))
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
@@ -144,15 +198,23 @@ def _fixed_points(fw: Framework, mode: str, cap: int, step) -> list[int]:
 def complete_extensions(
     fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP
 ) -> list[frozenset[str]]:
-    """Conflict-free fixed points of f_step, ordered by size then position bitmask."""
-    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap, _f_mask)]
+    """Conflict-free fixed points of f_step, ordered by size then position bitmask.
+
+    Found by a pruned search from the grounded extension rather than by
+    testing every subset; the cap still bounds the argument count.
+    """
+    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap)]
 
 
 def stable_extensions(
     fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP
 ) -> list[frozenset[str]]:
-    """Conflict-free fixed points of g_step, ordered by size then position bitmask."""
-    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap, _g_mask)]
+    """Conflict-free fixed points of g_step, ordered by size then position bitmask.
+
+    f_step is g_step applied twice, so every stable extension is complete:
+    these are the complete extensions that g_step maps to themselves.
+    """
+    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap) if _g_mask(fw, s) == s]
 
 
 def greatest_fixed_point(fw: Framework) -> frozenset[str]:
@@ -196,7 +258,7 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     gfp_mask = _g_mask(fw, _mask_of(fw, grounded_ids))
     capped = len(fw.arguments) > cap
     # f_step is g_step applied twice, so every stable extension is also a
-    # complete one: one scan for complete extensions yields both lists.
+    # complete one: one search for complete extensions yields both lists.
     complete = [] if capped else [_mask_of(fw, e) for e in complete_extensions(fw, mode, cap)]
     stable = [s for s in complete if _g_mask(fw, s) == s]
     return ExtensionReport(

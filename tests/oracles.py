@@ -4,13 +4,15 @@ Everything here favours clarity over speed: formulas are evaluated by
 structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
-under test.
+under test, except scan_fixed_points at the end, which keeps the old
+exhaustive extension scan as the reference for the pruned search.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from prefarg import semantics
 from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, atoms
 from prefarg.kb import StratifiedKB
 
@@ -198,3 +200,21 @@ def closure_oracle(pairs, ids) -> set[tuple[str, str]]:
         if not extra:
             return closed
         closed |= extra
+
+
+# The exhaustive scan the package ran before its pruned search. It runs
+# on the package's own bitmask operators, which the oracles above check
+# on their own, so it pins down the search's output and its order.
+
+def scan_fixed_points(fw, mode: str, step) -> list[frozenset]:
+    """Sets of every size that are conflict-free in mode and fixed by step.
+
+    step is semantics._f_mask (complete) or semantics._g_mask (stable);
+    the list is ordered by size, then position bitmask.
+    """
+    found = [
+        s for s in range(1 << len(fw.arguments))
+        if semantics._conflict_free_mask(fw, s, mode) and step(fw, s) == s
+    ]
+    found.sort(key=lambda s: (s.bit_count(), s))
+    return [semantics._ids_of(fw, s) for s in found]

@@ -2,8 +2,9 @@
 
 Both generators go through the public text parsers, so the random
 suites also exercise parsing. Frameworks stay at 8 arguments or fewer
-to keep full subset enumeration cheap; bases are filtered down to
-universes small enough to enumerate extensions over.
+unless a size is asked for, to keep full subset enumeration cheap;
+bases are filtered down to universes small enough to enumerate
+extensions over.
 """
 
 from __future__ import annotations
@@ -18,8 +19,21 @@ from prefarg.kb import StratifiedKB, parse_kb
 ATOM_NAMES = ["a", "b", "c", "d", "e", "f"]
 
 
-def random_framework(rng: random.Random) -> Framework:
-    n = rng.randint(1, 8)
+PREF_STYLES = ("none", "ranked", "arbitrary")
+
+
+def random_framework(
+    rng: random.Random, n: int | None = None, prefs: str | None = None, mutual: int = 0
+) -> Framework:
+    """A random framework of n arguments (1 to 8 when not given).
+
+    prefs picks one of PREF_STYLES: no preference facts, a total preorder
+    from random ranks, or a few arbitrary pairs; a random one when not
+    given. mutual adds that many random pairs of arguments that defeat
+    each other, which multiplies the complete extensions.
+    """
+    if n is None:
+        n = rng.randint(1, 8)
     names = [f"N{i}" for i in range(n)]
     density = rng.choice([0.05, 0.15, 0.3, 0.5, 0.7])
     lines = [" ".join(f"arg({x})." for x in names)]
@@ -27,18 +41,20 @@ def random_framework(rng: random.Random) -> Framework:
         for y in names:
             if rng.random() < density:
                 lines.append(f"def({x},{y}).")
-    style = rng.random()
-    if style < 0.45:
-        pass  # no preference facts at all
-    elif style < 0.75:
-        # total preorder induced by random ranks
+    for _ in range(mutual):
+        x, y = rng.sample(names, 2)
+        lines.append(f"def({x},{y}). def({y},{x}).")
+    if prefs is None:
+        style = rng.random()
+        prefs = "none" if style < 0.45 else "ranked" if style < 0.75 else "arbitrary"
+    if prefs == "ranked":
         rank = {x: rng.randint(1, 3) for x in names}
         for x in names:
             for y in names:
                 if x != y and rank[x] <= rank[y]:
                     lines.append(f"pref({x},{y}).")
-    else:
-        # a few arbitrary pairs; the parser closes them into a preorder
+    elif prefs == "arbitrary" and names:
+        # the parser closes these into a preorder
         for _ in range(rng.randint(1, n)):
             lines.append(f"pref({rng.choice(names)},{rng.choice(names)}).")
     return parse_abstract_framework("\n".join(lines) + "\n")

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, SRC, fixture_text
 from prefarg.cli import main
 
 
@@ -114,6 +116,24 @@ class TestExtensions:
         assert data["capped"] is True
         assert data["complete"] == [] and data["stable"] == []
         assert data["grounded"] == ["A", "B"]
+
+    def test_large_cap_answers_promptly(self, tmp_path):
+        # Testing all 2^32 subsets of a 32-argument chain never finished;
+        # the search settles it at the grounded extension. A child process
+        # keeps a hang from stalling the suite.
+        target = tmp_path / "chain32.af"
+        facts = [f"arg(N{i})." for i in range(32)]
+        facts += [f"def(N{i},N{i + 1})." for i in range(31)]
+        target.write_text("\n".join(facts) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefarg.cli", "extensions", str(target),
+             "--cap", "40", "--format", "json"],
+            capture_output=True, text=True, cwd=SRC, timeout=20,
+        )
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["complete"] == [data["grounded"]]
+        assert data["stable"] == [data["grounded"]]
 
 
 class TestArguments:

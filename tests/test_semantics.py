@@ -271,6 +271,58 @@ class TestAgainstOracles:
             assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
 
 
+class TestSearchAgainstScan:
+    """The pruned search returns exactly the lists of the old 2^n scan."""
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_matches_scan(self, n):
+        draws = 4 if n <= 12 else 2
+        for prefs in randgen.PREF_STYLES:
+            rng = random.Random(f"{n}:{prefs}")
+            for k in range(draws):
+                fw = randgen.random_framework(rng, n, prefs, mutual=k * n // 4)
+                for mode in MODES:
+                    assert complete_extensions(fw, mode) == oracles.scan_fixed_points(
+                        fw, mode, semantics._f_mask)
+                    assert stable_extensions(fw, mode) == oracles.scan_fixed_points(
+                        fw, mode, semantics._g_mask)
+
+
+class TestSearchAboveOldCap:
+    """Every set emitted on 25-60 arguments, checked against the definitions."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_emitted_sets_are_extensions(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(25, 60)
+        fw = randgen.random_framework(rng, n, randgen.PREF_STYLES[seed % 3], mutual=n // 3)
+        ids = fw.ids
+        atk = set(fw.attacks)
+        grounded = oracles.grounded_oracle(ids, atk)
+        position = {a: i for i, a in enumerate(ids)}
+
+        def size_then_mask(e):
+            return len(e), sum(1 << position[a] for a in e)
+
+        for mode in MODES:
+            clash = set(fw.defeats) if mode == "strict" else atk
+            complete = complete_extensions(fw, mode, cap=64)
+            assert len(set(complete)) == len(complete)
+            assert complete == sorted(complete, key=size_then_mask)
+            for e in complete:
+                assert oracles.conflict_free_oracle(clash, e)
+                assert oracles.f_oracle(ids, atk, e) == e
+                assert grounded <= e
+            # grounded is complete, so it comes first whenever it passes
+            # the mode's conflict test, which weak mode always does
+            if oracles.conflict_free_oracle(clash, grounded):
+                assert complete[0] == grounded
+            stable = stable_extensions(fw, mode, cap=64)
+            assert stable == [e for e in complete if oracles.g_oracle(ids, atk, e) == e]
+            for e in stable:
+                assert oracles.attacked_by(atk, e) == set(ids) - e
+
+
 class TestSelfCheck:
     @pytest.mark.parametrize(
         "name", ["example1.af", "example1_pref.af", "self_attack.af", "example4.af"]
