@@ -28,6 +28,7 @@ check subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser for every subcommand, built on the first call of a process.
+
+    argparse keeps no state between parse_args calls, so later calls of
+    main share it; building it costs more than a small .af input does.
+    """
     parser = _Parser(prog="prefarg", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, flags in (

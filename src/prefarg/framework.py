@@ -10,6 +10,14 @@ A preference preorder then filters defeats into attacks: a defeat of A
 by B becomes an attack unless A is strictly preferred to B, in which
 case A shrugs the defeat off and the edge is dropped.
 
+The preorder is held as one bitmask per argument position: bit j of
+argument i's mask says i is at least as preferred as j. Certainty
+preference builds one mask per level, and an explicit relation is closed
+in one pass over the strongly connected components of its pairs, so the
+closure costs O(n + m) mask ORs. The attack filter is then one test per
+defeat: the defeat of A by B is dropped iff B is in A's mask and A is
+not in B's.
+
 Abstract frameworks can also be read from fact files:
 
     arg(a).  arg(b).
@@ -26,7 +34,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
 from .errors import AFFormatError
@@ -35,17 +44,97 @@ from .formulas import _table_for
 DEFEAT_KINDS = ("rebut", "undercut", "abstract")
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach_masks(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Reflexive transitive closure of a graph as one reachability mask per node.
+
+    One pass of Tarjan's strongly connected component algorithm, run on
+    an explicit stack so that long chains need no recursion. A component
+    is complete only after every component it reaches, so its mask is its
+    members OR'd with the masks of the nodes its edges leave to; edges
+    inside the component read a mask still at 0 and add nothing.
+    """
+    n = len(succ)
+    order = [0] * n  # discovery number, 0 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    reach = [0] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not order[w]:
+                    counter += 1
+                    order[w] = low[w] = counter
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        members.append(w)
+                        if w == v:
+                            break
+                    mask = 0
+                    for w in members:
+                        mask |= 1 << w
+                        for x in succ[w]:
+                            mask |= reach[x]
+                    for w in members:
+                        reach[w] = mask
+    return reach
+
+
+def strict_masks(masks: Sequence[int]) -> list[int]:
+    """The strict part of a preorder given as masks: j in out[i] iff i ranks
+    at least as high as j and j does not rank at least as high as i."""
+    return [
+        sum(1 << j for j in _bits(m & ~(1 << i)) if not masks[j] >> i & 1)
+        for i, m in enumerate(masks)
+    ]
+
+
 @dataclass(frozen=True)
 class PreferenceRelation:
-    """Preorder over arguments; `prefers` is its strict part.
+    """Preorder over arguments, held as one mask per argument position.
 
-    Kind "certainty" compares certainty levels (lower level wins),
-    "explicit" consults a closed relation over argument ids, and "none"
-    prefers nothing.
+    Bit j of an argument's mask says that argument is at least as
+    preferred as argument j; `prefers` is the strict part. Kind
+    "certainty" compares certainty levels (lower level wins) and builds
+    one mask per level, "explicit" holds the closed masks over the
+    positions of `ids`, and "none" prefers nothing (each mask is its own
+    bit). An explicit relation applies to arguments listing exactly its
+    ids, in its order.
     """
 
     kind: str
-    pairs: frozenset[tuple[str, str]] | None = None
+    ids: tuple[str, ...] = ()
+    masks: tuple[int, ...] = ()
 
     @classmethod
     def by_certainty(cls) -> PreferenceRelation:
@@ -60,20 +149,48 @@ class PreferenceRelation:
         cls, pairs: Iterable[tuple[str, str]], ids: Iterable[str]
     ) -> PreferenceRelation:
         """Close the given (better, worse) pairs reflexively and transitively over ids."""
-        id_list = list(dict.fromkeys(ids))
-        known = set(id_list)
-        rel = {(x, x) for x in id_list}
+        id_list = tuple(dict.fromkeys(ids))
+        index = {x: i for i, x in enumerate(id_list)}
+        succ: list[list[int]] = [[] for _ in id_list]
         for x, y in pairs:
-            if x not in known or y not in known:
+            if x not in index or y not in index:
                 raise ValueError(f"preference pair ({x}, {y}) names an unknown argument")
-            rel.add((x, y))
-        for mid in id_list:
-            for x in id_list:
-                if (x, mid) in rel:
-                    for y in id_list:
-                        if (mid, y) in rel:
-                            rel.add((x, y))
-        return cls("explicit", frozenset(rel))
+            succ[index[x]].append(index[y])
+        return cls("explicit", id_list, tuple(_reach_masks(succ)))
+
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]] | None:
+        """The explicit relation as (better, worse) id pairs; None for other kinds."""
+        if self.kind != "explicit":
+            return None
+        ids = self.ids
+        return frozenset((ids[i], ids[j]) for i, m in enumerate(self.masks) for j in _bits(m))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: i for i, x in enumerate(self.ids)}
+
+    def position_masks(self, arguments: Sequence[Argument]) -> list[int]:
+        """The preorder over the given arguments, one mask per listing position."""
+        if self.kind == "none":
+            return [1 << i for i in range(len(arguments))]
+        if self.kind == "certainty":
+            levels = [a.level for a in arguments]
+            if None in levels:
+                raise ValueError("certainty preference requires knowledge-base arguments")
+            # One mask per level: the arguments at that level or a less certain one.
+            at_level: dict[int, int] = {}
+            for i, level in enumerate(levels):
+                at_level[level] = at_level.get(level, 0) | 1 << i
+            at_or_below: dict[int, int] = {}
+            acc = 0
+            for level in sorted(at_level, reverse=True):
+                acc |= at_level[level]
+                at_or_below[level] = acc
+            return [at_or_below[level] for level in levels]
+        if tuple(a.id for a in arguments) != self.ids:
+            raise ValueError("explicit preference ranks other arguments than these")
+        return list(self.masks)
 
     def holds(self, a: Argument, b: Argument) -> bool:
         """Non-strict comparison: a is at least as preferred as b."""
@@ -83,7 +200,8 @@ class PreferenceRelation:
             if a.level is None or b.level is None:
                 raise ValueError("certainty preference requires knowledge-base arguments")
             return a.level <= b.level
-        return (a.id, b.id) in self.pairs
+        i, j = self._index.get(a.id), self._index.get(b.id)
+        return i is not None and j is not None and bool(self.masks[i] >> j & 1)
 
     def prefers(self, a: Argument, b: Argument) -> bool:
         """Strict comparison: a above b and not conversely."""
@@ -91,21 +209,22 @@ class PreferenceRelation:
 
     def strict_pairs(self, arguments: Sequence[Argument]) -> list[tuple[str, str]]:
         """All strictly ordered id pairs among the given arguments, in listing order."""
+        ids = [a.id for a in arguments]
         return [
-            (a.id, b.id)
-            for a in arguments
-            for b in arguments
-            if a.id != b.id and self.prefers(a, b)
+            (ids[i], ids[j])
+            for i, m in enumerate(strict_masks(self.position_masks(arguments)))
+            for j in _bits(m)
         ]
 
 
 class Framework:
     """Argument list, defeat edges, a preference, and the derived attacks.
 
-    Attack edges are fixed at construction per the rule above. Edge
-    sequences are sorted by argument position, and per-argument
-    attacker/target bitmasks are precomputed for the semantics layer.
-    Instances are immutable in use.
+    Attack edges are fixed at construction per the rule above, read off
+    the preference masks: a defeat of a by b is dropped iff b is in a's
+    mask and a is not in b's. Edge sequences are sorted by argument
+    position, and per-argument preference, attacker and target bitmasks
+    are kept for the semantics layer. Instances are immutable in use.
     """
 
     def __init__(
@@ -120,31 +239,31 @@ class Framework:
         self.arguments = tuple(arguments)
         self.preference = preference
         self.defeat_kind = defeat_kind
-        self._position = {a.id: i for i, a in enumerate(self.arguments)}
-        if len(self._position) != len(self.arguments):
+        self._position = pos = {a.id: i for i, a in enumerate(self.arguments)}
+        if len(pos) != len(self.arguments):
             raise ValueError("duplicate argument id")
+        edges = set()
         for x, y in defeats:
-            if x not in self._position or y not in self._position:
+            if x not in pos or y not in pos:
                 raise ValueError(f"defeat edge ({x}, {y}) names an unknown argument")
-        self.defeats = tuple(
-            sorted(set(defeats), key=lambda e: (self._position[e[0]], self._position[e[1]]))
-        )
-        self.attacks = tuple(
-            (b, a)
-            for b, a in self.defeats
-            if not preference.prefers(self.argument(a), self.argument(b))
-        )
+            edges.add((pos[x], pos[y]))
+        edges = sorted(edges)
+        # preference_mask[i] has bit j iff argument i is at least as preferred as j.
+        self.preference_mask = pref = preference.position_masks(self.arguments)
+        # The defeat of j by i is dropped iff j is strictly preferred to i.
+        kept = [(i, j) for i, j in edges if not (pref[j] >> i & 1 and not pref[i] >> j & 1)]
+        ids = self.ids
+        self.defeats = tuple((ids[i], ids[j]) for i, j in edges)
+        self.attacks = tuple((ids[i], ids[j]) for i, j in kept)
         n = len(self.arguments)
         self.defeaters_mask = [0] * n
         self.defeat_targets_mask = [0] * n
-        for x, y in self.defeats:
-            i, j = self._position[x], self._position[y]
+        for i, j in edges:
             self.defeat_targets_mask[i] |= 1 << j
             self.defeaters_mask[j] |= 1 << i
         self.attackers_mask = [0] * n
         self.attack_targets_mask = [0] * n
-        for x, y in self.attacks:
-            i, j = self._position[x], self._position[y]
+        for i, j in kept:
             self.attack_targets_mask[i] |= 1 << j
             self.attackers_mask[j] |= 1 << i
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arguments import DEFAULT_CAP, check_cap
-from .framework import Framework
+from .framework import Framework, _bits, strict_masks
 
 MODES = ("weak", "strict")
 
@@ -37,13 +37,6 @@ MODES = ("weak", "strict")
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask_of(fw: Framework, ids: Iterable[str]) -> int:
@@ -394,14 +387,13 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     else:
         results.append(CheckResult("empty_preference_keeps_all_defeats", "skipped",
                                    "preference is not empty"))
-    strict = fw.preference.strict_pairs(fw.arguments)
-    below: dict[str, set[str]] = {}
-    for x, y in strict:
-        below.setdefault(x, set()).add(y)
+    # strict[i] holds what argument i is strictly preferred to; transitivity
+    # asks that strict[j] lie within strict[i], or be i itself, when i is above j.
+    strict = strict_masks(fw.preference_mask)
     record("preference_strict_part_asymmetric",
-           not any(x in below.get(y, ()) for x, y in strict))
+           not any(strict[j] >> i & 1 for i, m in enumerate(strict) for j in _bits(m)))
     record("preference_strict_part_transitive",
-           all(z == x or z in below[x] for x, y in strict for z in below.get(y, ())))
+           all(strict[j] & ~m & ~(1 << i) == 0 for i, m in enumerate(strict) for j in _bits(m)))
 
     # Pointwise operator laws over the pool.
     unattacked = _mask_of(fw, class_cr_pref(fw))

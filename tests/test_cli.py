@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, SRC, fixture_text
+from prefarg import cli
 from prefarg.cli import main
 
 
@@ -134,6 +135,26 @@ class TestExtensions:
         data = json.loads(proc.stdout)
         assert data["complete"] == [data["grounded"]]
         assert data["stable"] == [data["grounded"]]
+
+    def test_long_preference_chain_answers_promptly(self, tmp_path):
+        # A 2000-long pref chain closes to about 2 M ordered pairs, which a
+        # cubic closure over id pairs cannot reach in the time allowed.
+        # Each argument defeats the one above it and is ignored, being
+        # less preferred; N0's defeat of the weakest argument stands.
+        n = 2000
+        target = tmp_path / "pref_chain.af"
+        facts = [f"arg(N{i})." for i in range(n)]
+        facts += [f"pref(N{i},N{i + 1}). def(N{i + 1},N{i})." for i in range(n - 1)]
+        facts.append(f"def(N0,N{n - 1}).")
+        target.write_text("\n".join(facts) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefarg.cli", "extensions", str(target),
+             "--semantics", "grounded", "--format", "json"],
+            capture_output=True, text=True, cwd=SRC, timeout=20,
+        )
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["grounded"] == [f"N{i}" for i in range(n - 1)]
 
 
 class TestArguments:
@@ -470,3 +491,33 @@ class TestDeterminism:
         second = run("extensions", fx(name), "--format", "json")
         assert first == second
         assert first[0] == 0
+
+
+class TestParserReuse:
+    CALLS = [
+        ("extensions", fx("example1.af"), "--format", "xml"),
+        ("extensions", fx("example1_pref.af"), "--format", "json"),
+        ("coherence", fx("example2.kb"), "--semantics", "all"),
+        ("extensions", fx("example1_pref.af"), "--format", "json"),
+    ]
+
+    def outcomes(self, capsys):
+        results = []
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse-level usage errors
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    def test_shared_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        parser = cli._build_parser()
+        shared = self.outcomes(capsys)
+        assert cli._build_parser() is parser
+        assert [code for code, _, _ in shared] == [1, 0, 1, 0]
+        assert "invalid choice" in shared[0][2]
+        assert "unrecognized arguments: --semantics" in shared[2][2]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert self.outcomes(capsys) == shared

@@ -84,6 +84,39 @@ class TestPreferenceRelation:
         args = [Argument(id=i) for i in ("A", "B", "C")]
         assert pref.strict_pairs(args) == [("A", "B"), ("A", "C"), ("B", "C")]
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_mask_closure_matches_oracle_up_to_40_ids(self, seed):
+        rng = random.Random(seed)
+        ids, pairs = random_preference_graph(rng, rng.randint(1, 40))
+        pref = PreferenceRelation.explicit(pairs, ids)
+        closed = oracles.closure_oracle(pairs, ids)
+        assert pref.pairs == closed
+        args = [Argument(id=x) for x in ids]
+        assert pref.strict_pairs(args) == [
+            (x, y) for x in ids for y in ids if (x, y) in closed and (y, x) not in closed
+        ]
+
+    def test_explicit_relation_needs_its_own_ids(self):
+        pref = PreferenceRelation.explicit([("A", "B")], ["A", "B"])
+        with pytest.raises(ValueError):
+            Framework([Argument(id="B"), Argument(id="A")], [], pref, "abstract")
+
+
+def random_preference_graph(rng, n):
+    """n ids, a quarter of them at most left isolated, random (better, worse)
+    pairs among the rest, a planted cycle and a self-loop."""
+    ids = [f"N{i}" for i in range(n)]
+    live = rng.sample(ids, n - rng.randint(0, n // 4))
+    pairs = [
+        (rng.choice(live), rng.choice(live))
+        for _ in range(round(rng.choice([0.5, 1, 2, 3]) * len(live)))
+    ]
+    cycle = rng.sample(live, min(len(live), rng.randint(2, 5)))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    pairs.append((live[0], live[0]))
+    rng.shuffle(pairs)
+    return ids, pairs
+
 
 class TestDefeatTests:
     def test_rebut_is_semantic(self):
@@ -187,6 +220,24 @@ class TestBuildFramework:
             oracles.derive_attacks_oracle(fw.defeats, stricter)
         )
 
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
+    def test_certainty_masks_match_level_comparison(self, seed, defeat):
+        _, universe = randgen.random_kb(random.Random(seed), max_universe=20)
+        fw = build_framework(universe, defeat)
+        args = fw.arguments
+        for a, mask in zip(args, fw.preference_mask):
+            assert [mask >> j & 1 == 1 for j in range(len(args))] == [
+                a.level <= b.level for b in args
+            ]
+        level = {a.id: a.level for a in args}
+        assert list(fw.attacks) == [
+            (b, a) for b, a in fw.defeats if not level[a] < level[b]
+        ]
+        assert fw.preference.strict_pairs(args) == [
+            (a.id, b.id) for a in args for b in args if a.level < b.level
+        ]
+
     def test_attack_rule_spot_check(self):
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
         fw = build_framework(universe)
@@ -258,6 +309,20 @@ class TestAbstractParsing:
         with pytest.raises(AFFormatError) as err:
             parse_abstract_framework(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_attacks_match_oracle_under_cyclic_preferences(self, seed):
+        rng = random.Random(seed)
+        ids, prefs = random_preference_graph(rng, rng.randint(1, 30))
+        defs = [(rng.choice(ids), rng.choice(ids)) for _ in range(2 * len(ids))]
+        facts = [f"arg({x})." for x in ids]
+        facts += [f"def({x},{y})." for x, y in defs] + [f"pref({x},{y})." for x, y in prefs]
+        fw = parse_abstract_framework("\n".join(facts) + "\n")
+        closed = oracles.closure_oracle(prefs, ids)
+        strict = {(x, y) for x, y in closed if (y, x) not in closed}
+        defeats = sorted(set(defs), key=lambda e: (ids.index(e[0]), ids.index(e[1])))
+        assert list(fw.defeats) == defeats
+        assert list(fw.attacks) == oracles.derive_attacks_oracle(defeats, strict)
 
     def test_deterministic(self):
         text = fixture_text("example4.af")
