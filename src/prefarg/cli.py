@@ -312,15 +312,20 @@ def cmd_graph(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
+
+    The correspondence check runs first, so a .kb whose universe exceeds
+    the cap exits 2 before the invariant suite spends any time on it.
+    """
     _reject_dot(args)
     kb, fw = _load(args)
     universe = None
     if fw is None:
         universe, fw = _kb_framework(args, kb)
-    report = self_check(fw, args.cap)
     clauses = None
     if kb is not None:
         clauses = check_correspondence(kb, universe, args.cap)
+    report = self_check(fw, args.cap)
     ok = report.ok and (clauses is None or clauses.ok)
     if args.fmt == "json":
         payload = {

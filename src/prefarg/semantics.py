@@ -54,19 +54,28 @@ def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:
     return tuple(a.id for i, a in enumerate(fw.arguments) if mask >> i & 1)
 
 
+# The operator kernels below walk set bits inline, lowest first, rather
+# than through the _bits generator: self_check calls them for every
+# subset in its pool.
+
 def _attacked_by(fw: Framework, s: int) -> int:
+    targets = fw.attack_targets_mask
     out = 0
-    for i in _bits(s):
-        out |= fw.attack_targets_mask[i]
+    while s:
+        low = s & -s
+        out |= targets[low.bit_length() - 1]
+        s ^= low
     return out
 
 
 def _f_mask(fw: Framework, s: int) -> int:
-    counterattacked = _attacked_by(fw, s)
+    uncountered = ~_attacked_by(fw, s)
     out = 0
-    for i in range(len(fw.arguments)):
-        if fw.attackers_mask[i] & ~counterattacked == 0:
-            out |= 1 << i
+    bit = 1
+    for attackers in fw.attackers_mask:
+        if not attackers & uncountered:
+            out |= bit
+        bit <<= 1
     return out
 
 
@@ -77,9 +86,12 @@ def _g_mask(fw: Framework, s: int) -> int:
 
 def _conflict_free_mask(fw: Framework, s: int, mode: str) -> bool:
     targets = fw.defeat_targets_mask if mode == "strict" else fw.attack_targets_mask
-    for i in _bits(s):
-        if targets[i] & s:
+    rest = s
+    while rest:
+        low = rest & -rest
+        if targets[low.bit_length() - 1] & s:
             return False
+        rest ^= low
     return True
 
 
@@ -351,9 +363,11 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
     f_step, g_step and weak conflict-freeness are computed once for each
-    subset in the pool, and every subset-quantified law reads those three
-    tables. The pool is every subset when the framework is small, and a
-    seeded random sample above MAX_EXHAUSTIVE arguments.
+    subset in the pool, by calling _f_mask, _g_mask and
+    _conflict_free_mask, and every subset-quantified law reads those
+    three tables. The pool is every subset when the framework is small,
+    and a seeded random sample above MAX_EXHAUSTIVE arguments. Never
+    raises: a framework above the cap only skips the extension laws.
 
     On the exhaustive pool, f_monotone and g_antimonotone compare each
     subset with itself minus one member (covering pairs), and
@@ -411,17 +425,28 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     # sub-subsets per member on the sampled one.
     f_mono = True
     g_anti = True
-    rng = random.Random(SAMPLE_SEED + 1)
-    for s in pool:
-        if exhaustive:
-            subs = [s ^ 1 << i for i in _bits(s)]
-        else:
-            subs = [s & rng.getrandbits(n) for _ in range(4)]
-        for sub in subs:
-            if (f_of[sub] if sub in f_of else _f_mask(fw, sub)) & ~f_of[s]:
-                f_mono = False
-            if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub)):
-                g_anti = False
+    if exhaustive:
+        for s in pool:
+            fs = f_of[s]
+            gs = g_of[s]
+            rest = s
+            while rest:
+                low = rest & -rest
+                sub = s ^ low
+                if f_of[sub] & ~fs:
+                    f_mono = False
+                if gs & ~g_of[sub]:
+                    g_anti = False
+                rest ^= low
+    else:
+        rng = random.Random(SAMPLE_SEED + 1)
+        for s in pool:
+            for _ in range(4):
+                sub = s & rng.getrandbits(n)
+                if (f_of[sub] if sub in f_of else _f_mask(fw, sub)) & ~f_of[s]:
+                    f_mono = False
+                if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub)):
+                    g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)
 

@@ -317,6 +317,24 @@ class TestCheck:
         assert {r["status"] for r in data["results"]} <= {"pass", "skipped"}
         assert data["correspondence"]["ok"] is True
 
+    def test_over_cap_kb_is_refused_before_self_check(self, run, tmp_path, monkeypatch):
+        # seven beliefs, three routes to d against !d: 22 arguments
+        target = tmp_path / "wide.kb"
+        target.write_text(
+            "[stratum 1]\na\nb\nc\n[stratum 2]\na -> d\nb -> d\nc -> d\n!d\n",
+            encoding="utf-8",
+        )
+        calls = []
+        real = cli.self_check
+        monkeypatch.setattr(cli, "self_check", lambda fw, cap: calls.append(cap) or real(fw, cap))
+        for fmt in ("text", "json"):
+            code, out, err = run("check", str(target), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == "prefarg: error: 22 arguments exceed the enumeration cap of 20\n"
+        assert calls == []
+        code, _, _ = run("check", fx("example2.kb"))
+        assert (code, calls) == (0, [20])
+
     def test_failing_check_exits_3(self, run, monkeypatch):
         import prefarg.cli as cli_module
         from prefarg.semantics import CheckResult, SelfCheckReport

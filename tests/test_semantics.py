@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -271,6 +272,34 @@ class TestAgainstOracles:
             assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
 
 
+class TestKernelsAgainstOracles:
+    """The bitmask operators against their set definitions, up to 70 arguments."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_kernels_match_oracles(self, seed):
+        rng = random.Random(f"kernels:{seed}")
+        n = rng.randint(1, 70)
+        fw = randgen.random_framework(rng, n, randgen.PREF_STYLES[seed % 3], mutual=n // 4)
+        ids = fw.ids
+        atk = set(fw.attacks)
+        dfs = set(fw.defeats)
+        full = _full(fw)
+        for s in [0, full] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)] + [
+            rng.getrandbits(n) for _ in range(10)
+        ]:
+            members = semantics._ids_of(fw, s)
+            assert semantics._ids_of(fw, semantics._attacked_by(fw, s)) == oracles.attacked_by(
+                atk, members)
+            assert semantics._ids_of(fw, semantics._f_mask(fw, s)) == oracles.f_oracle(
+                ids, atk, members)
+            assert semantics._ids_of(fw, semantics._g_mask(fw, s)) == oracles.g_oracle(
+                ids, atk, members)
+            assert semantics._conflict_free_mask(fw, s, "weak") == oracles.conflict_free_oracle(
+                atk, members)
+            assert semantics._conflict_free_mask(fw, s, "strict") == (
+                oracles.conflict_free_oracle(dfs, members))
+
+
 class TestSearchAgainstScan:
     """The pruned search returns exactly the lists of the old 2^n scan."""
 
@@ -323,6 +352,12 @@ class TestSearchAboveOldCap:
                 assert oracles.attacked_by(atk, e) == set(ids) - e
 
 
+# sha256 of repr(self_check(fw)) over the frameworks of
+# TestSelfCheck.test_report_digest: a changed verdict, detail, tally or
+# law order moves it.
+SELF_CHECK_DIGEST = "70709ee9b88d389227dfc49706097ec0d279f6d38c88be70bc2c5608a2364e1a"
+
+
 class TestSelfCheck:
     @pytest.mark.parametrize(
         "name", ["example1.af", "example1_pref.af", "self_attack.af", "example4.af"]
@@ -364,6 +399,20 @@ class TestSelfCheck:
         for _ in range(40):
             rep = self_check(randgen.random_framework(rng))
             assert rep.ok, [r for r in rep.results if r.status == "fail"]
+        # above MAX_EXHAUSTIVE the laws run over the sampled pool
+        for _ in range(8):
+            rep = self_check(randgen.random_framework(rng, n=rng.randint(13, 40)))
+            assert rep.ok, [r for r in rep.results if r.status == "fail"]
+
+    def test_report_digest(self):
+        # sizes 0-12 take the exhaustive pool, 13-40 the sampled one, and
+        # 21 up skip the extension laws; each size draws every pref style
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for n in range(41):
+            for prefs in randgen.PREF_STYLES:
+                digest.update(repr(self_check(randgen.random_framework(rng, n, prefs))).encode())
+        assert digest.hexdigest() == SELF_CHECK_DIGEST
 
     @pytest.mark.parametrize("law,plant,fw_name", [
         ("f_monotone", "f_of_everything_empty", "example1.af"),
@@ -383,6 +432,19 @@ class TestSelfCheck:
         fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "pass"
+        name, build = PLANTS[plant]
+        monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "fail"
+
+    @pytest.mark.parametrize("law,plant", [
+        ("f_monotone", "f_of_first_everything"),
+        ("g_antimonotone", "g_fixes_first"),
+    ])
+    def test_covering_pairs_remove_the_highest_member(self, monkeypatch, law, plant):
+        # Both plants change the operator at the first argument alone, so
+        # only pairs that take a higher member out of {A, x} leave {A}.
+        fw = load("example1.af")
         name, build = PLANTS[plant]
         monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
         status = {r.name: r.status for r in self_check(fw).results}
