@@ -23,7 +23,6 @@ from .coherence import (
     check_correspondence,
     correspondence_to_json,
     incl_subbases,
-    intersection_incl,
     max_consistent_subbases,
 )
 from .errors import (
@@ -52,9 +51,7 @@ from .formulas import (
 from .framework import (
     Framework,
     PreferenceRelation,
-    attacks,
     build_framework,
-    framework_to_json,
     parse_abstract_framework,
 )
 from .kb import BeliefRef, StratifiedKB, parse_kb, render_kb
@@ -70,7 +67,6 @@ from .semantics import (
     g_step,
     greatest_fixed_point,
     grounded_extension,
-    report_from_json,
     report_to_json,
     self_check,
     stable_extensions,
@@ -104,7 +100,6 @@ __all__ = [
     "Subbase",
     "arg_of",
     "atoms",
-    "attacks",
     "build_framework",
     "build_universe",
     "candidate_conclusions",
@@ -118,12 +113,10 @@ __all__ = [
     "equivalent",
     "evaluate",
     "f_step",
-    "framework_to_json",
     "g_step",
     "greatest_fixed_point",
     "grounded_extension",
     "incl_subbases",
-    "intersection_incl",
     "is_consistent",
     "max_consistent_subbases",
     "minimal_supports",
@@ -133,7 +126,6 @@ __all__ = [
     "parse_kb",
     "render",
     "render_kb",
-    "report_from_json",
     "report_to_json",
     "self_check",
     "stable_extensions",

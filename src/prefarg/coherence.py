@@ -38,9 +38,6 @@ class Subbase:
 
     refs: tuple[BeliefRef, ...]
 
-    def slice_at(self, stratum: int) -> tuple[BeliefRef, ...]:
-        return tuple(r for r in self.refs if r.stratum == stratum)
-
     def formulas(self, kb: StratifiedKB) -> tuple[Formula, ...]:
         return tuple(kb.resolve(r) for r in self.refs)
 
@@ -87,11 +84,6 @@ def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
     return frozenset(subbases[0].refs).intersection(*(sb.refs for sb in subbases[1:]))
 
 
-def intersection_incl(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> frozenset[BeliefRef]:
-    """The belief references kept by every preferred subbase."""
-    return _common_refs(incl_subbases(kb, cap))
-
-
 def max_consistent_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """Maximal selections consistent with the core, stratification ignored."""
     return _maximal_subbases(kb, [list(kb.belief_refs())], cap)
@@ -124,12 +116,6 @@ class CorrespondenceReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.clauses)
-
-    def clause(self, name: str) -> ClauseResult:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise ValueError(f"no clause named {name!r}")
 
 
 def _show_refs(kb: StratifiedKB, refs: Iterable[BeliefRef]) -> str:

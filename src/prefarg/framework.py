@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
@@ -124,7 +123,7 @@ class PreferenceRelation:
     """Preorder over arguments, held as one mask per argument position.
 
     Bit j of an argument's mask says that argument is at least as
-    preferred as argument j; `prefers` is the strict part. Kind
+    preferred as argument j; `strict_pairs` is the strict part. Kind
     "certainty" compares certainty levels (lower level wins) and builds
     one mask per level, "explicit" holds the closed masks over the
     positions of `ids`, and "none" prefers nothing (each mask is its own
@@ -158,18 +157,6 @@ class PreferenceRelation:
             succ[index[x]].append(index[y])
         return cls("explicit", id_list, tuple(_reach_masks(succ)))
 
-    @property
-    def pairs(self) -> frozenset[tuple[str, str]] | None:
-        """The explicit relation as (better, worse) id pairs; None for other kinds."""
-        if self.kind != "explicit":
-            return None
-        ids = self.ids
-        return frozenset((ids[i], ids[j]) for i, m in enumerate(self.masks) for j in _bits(m))
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.ids)}
-
     def position_masks(self, arguments: Sequence[Argument]) -> list[int]:
         """The preorder over the given arguments, one mask per listing position."""
         if self.kind == "none":
@@ -191,21 +178,6 @@ class PreferenceRelation:
         if tuple(a.id for a in arguments) != self.ids:
             raise ValueError("explicit preference ranks other arguments than these")
         return list(self.masks)
-
-    def holds(self, a: Argument, b: Argument) -> bool:
-        """Non-strict comparison: a is at least as preferred as b."""
-        if self.kind == "none":
-            return a.id == b.id
-        if self.kind == "certainty":
-            if a.level is None or b.level is None:
-                raise ValueError("certainty preference requires knowledge-base arguments")
-            return a.level <= b.level
-        i, j = self._index.get(a.id), self._index.get(b.id)
-        return i is not None and j is not None and bool(self.masks[i] >> j & 1)
-
-    def prefers(self, a: Argument, b: Argument) -> bool:
-        """Strict comparison: a above b and not conversely."""
-        return self.holds(a, b) and not self.holds(b, a)
 
     def strict_pairs(self, arguments: Sequence[Argument]) -> list[tuple[str, str]]:
         """All strictly ordered id pairs among the given arguments, in listing order."""
@@ -279,17 +251,6 @@ class Framework:
             return self._position[arg_id]
         except KeyError:
             raise ValueError(f"no argument {arg_id!r} in framework") from None
-
-    def has_defeat(self, attacker_id: str, target_id: str) -> bool:
-        return bool(self.defeat_targets_mask[self.position(attacker_id)] >> self.position(target_id) & 1)
-
-    def has_attack(self, attacker_id: str, target_id: str) -> bool:
-        return bool(self.attack_targets_mask[self.position(attacker_id)] >> self.position(target_id) & 1)
-
-
-def attacks(fw: Framework, attacker: Argument, target: Argument) -> bool:
-    """True iff attacker defeats target and target is not strictly preferred to it."""
-    return fw.has_attack(attacker.id, target.id)
 
 
 def build_framework(
@@ -369,12 +330,3 @@ def parse_abstract_framework(text: str) -> Framework:
     )
     return Framework(tuple(Argument(id=n) for n in names), defs, preference, "abstract")
 
-
-def framework_to_json(fw: Framework) -> dict:
-    """Edge-list export: arguments, defeats, strict preference pairs, attacks."""
-    return {
-        "arguments": list(fw.ids),
-        "defeats": [[x, y] for x, y in fw.defeats],
-        "preference": [[x, y] for x, y in fw.preference.strict_pairs(fw.arguments)],
-        "attacks": [[x, y] for x, y in fw.attacks],
-    }

@@ -296,22 +296,6 @@ def report_to_json(report: ExtensionReport) -> dict:
     }
 
 
-def report_from_json(data: dict) -> ExtensionReport:
-    """Inverse of report_to_json."""
-    return ExtensionReport(
-        mode=data["mode"],
-        class_r=tuple(data["class_r"]),
-        class_r_pref=tuple(data["class_r_pref"]),
-        grounded=tuple(data["grounded"]),
-        greatest_fixed_point=tuple(data["greatest_fixed_point"]),
-        complete=tuple(tuple(e) for e in data["complete"]),
-        stable=tuple(tuple(e) for e in data["stable"]),
-        unique_complete=data["unique_complete"],
-        iterations=data["iterations"],
-        capped=data["capped"],
-    )
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -253,7 +253,7 @@ def kb_oracle_battery(kb, universe):
     for defeat in ("rebut", "undercut"):  # no defeat inside the class
         fw = build_framework(universe, defeat)
         cls = class_cr_pref(fw)
-        assert not any(fw.has_defeat(x, y) for x in cls for y in cls)
+        assert not any((x, y) in fw.defeats for x in cls for y in cls)
 
     plain = PreferenceRelation.none()
     undefeated_undercut = class_cr(build_framework(universe, "undercut", plain))

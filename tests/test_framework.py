@@ -12,9 +12,7 @@ from prefarg.formulas import parse_formula
 from prefarg.framework import (
     Framework,
     PreferenceRelation,
-    attacks,
     build_framework,
-    framework_to_json,
     parse_abstract_framework,
 )
 from prefarg.kb import parse_kb
@@ -35,29 +33,27 @@ def supported(concl_text, support_texts, level=None, ident="X"):
 
 class TestPreferenceRelation:
     def test_certainty_prefers_lower_level(self):
-        strong, weak = concl("a", level=1), concl("b", level=3)
+        args = [concl("a", level=1, ident="S"), concl("b", level=3, ident="W")]
         pref = PreferenceRelation.by_certainty()
-        assert pref.prefers(strong, weak)
-        assert not pref.prefers(weak, strong)
-        assert pref.holds(strong, strong)
+        assert pref.position_masks(args) == [0b11, 0b10]
+        assert pref.strict_pairs(args) == [("S", "W")]
 
     def test_certainty_equal_levels_tie(self):
-        x, y = concl("a", level=2), concl("b", level=2)
+        args = [concl("a", level=2, ident="X"), concl("b", level=2, ident="Y")]
         pref = PreferenceRelation.by_certainty()
-        assert pref.holds(x, y) and pref.holds(y, x)
-        assert not pref.prefers(x, y)
+        assert pref.position_masks(args) == [0b11, 0b11]
+        assert pref.strict_pairs(args) == []
 
     def test_certainty_needs_levels(self):
         pref = PreferenceRelation.by_certainty()
         with pytest.raises(ValueError):
-            pref.holds(Argument(id="X"), Argument(id="Y"))
+            pref.position_masks([Argument(id="X"), Argument(id="Y")])
 
     def test_none_is_reflexive_only(self):
         pref = PreferenceRelation.none()
-        x, y = Argument(id="X"), Argument(id="Y")
-        assert pref.holds(x, x)
-        assert not pref.holds(x, y)
-        assert not pref.prefers(x, y)
+        args = [Argument(id="X"), Argument(id="Y")]
+        assert pref.position_masks(args) == [0b01, 0b10]
+        assert pref.strict_pairs(args) == []
 
     def test_explicit_closure_matches_oracle(self):
         rng = random.Random(7)
@@ -67,13 +63,15 @@ class TestPreferenceRelation:
                 (rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))
             ]
             pref = PreferenceRelation.explicit(pairs, ids)
-            assert pref.pairs == oracles.closure_oracle(pairs, ids)
+            assert {
+                (x, y) for x, m in zip(ids, pref.masks) for j, y in enumerate(ids) if m >> j & 1
+            } == oracles.closure_oracle(pairs, ids)
 
     def test_explicit_cycle_collapses_to_equivalence(self):
         pref = PreferenceRelation.explicit([("A", "B"), ("B", "A")], ["A", "B"])
-        x, y = Argument(id="A"), Argument(id="B")
-        assert pref.holds(x, y) and pref.holds(y, x)
-        assert not pref.prefers(x, y)
+        args = [Argument(id="A"), Argument(id="B")]
+        assert pref.position_masks(args) == [0b11, 0b11]
+        assert pref.strict_pairs(args) == []
 
     def test_explicit_unknown_id(self):
         with pytest.raises(ValueError):
@@ -90,7 +88,9 @@ class TestPreferenceRelation:
         ids, pairs = random_preference_graph(rng, rng.randint(1, 40))
         pref = PreferenceRelation.explicit(pairs, ids)
         closed = oracles.closure_oracle(pairs, ids)
-        assert pref.pairs == closed
+        assert {
+            (x, y) for x, m in zip(ids, pref.masks) for j, y in enumerate(ids) if m >> j & 1
+        } == closed
         args = [Argument(id=x) for x in ids]
         assert pref.strict_pairs(args) == [
             (x, y) for x in ids for y in ids if (x, y) in closed and (y, x) not in closed
@@ -241,10 +241,9 @@ class TestBuildFramework:
     def test_attack_rule_spot_check(self):
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
         fw = build_framework(universe)
-        a4, a6 = universe.argument("A4"), universe.argument("A6")
-        assert fw.has_defeat("A6", "A4")
-        assert not attacks(fw, a6, a4)  # the level-2 target shrugs it off
-        assert attacks(fw, a4, a6)
+        assert ("A6", "A4") in fw.defeats
+        assert ("A6", "A4") not in fw.attacks  # the level-2 target shrugs it off
+        assert ("A4", "A6") in fw.attacks
 
 
 class TestFrameworkClass:
@@ -292,8 +291,7 @@ class TestAbstractParsing:
         fw = parse_abstract_framework(
             "arg(A). arg(B). arg(C). def(C,A). pref(A,B). pref(B,C)."
         )
-        x, z = fw.argument("A"), fw.argument("C")
-        assert fw.preference.prefers(x, z)  # closed through B
+        assert ("A", "C") in fw.preference.strict_pairs(fw.arguments)  # closed through B
         assert fw.attacks == ()  # A is preferred to its defeater
 
     @pytest.mark.parametrize("text,fragment", [
@@ -330,13 +328,3 @@ class TestAbstractParsing:
         assert one.ids == two.ids
         assert one.defeats == two.defeats
         assert one.attacks == two.attacks
-
-
-def test_framework_to_json():
-    fw = parse_abstract_framework(fixture_text("example1_pref.af"))
-    assert framework_to_json(fw) == {
-        "arguments": ["A", "B", "C", "D"],
-        "defeats": [["C", "D"], ["D", "C"]],
-        "preference": [["C", "D"]],
-        "attacks": [["C", "D"]],
-    }

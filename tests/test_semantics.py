@@ -8,9 +8,8 @@ import randgen
 from conftest import fixture_text
 from prefarg.errors import CapExceededError
 from prefarg.framework import parse_abstract_framework
-from prefarg.kb import parse_kb
 from prefarg import semantics
-from prefarg.arguments import Argument, build_universe
+from prefarg.arguments import Argument
 from prefarg.framework import Framework, PreferenceRelation, build_framework
 from prefarg.semantics import (
     MAX_EXHAUSTIVE,
@@ -24,7 +23,6 @@ from prefarg.semantics import (
     g_step,
     greatest_fixed_point,
     grounded_extension,
-    report_from_json,
     report_to_json,
     self_check,
     stable_extensions,
@@ -224,13 +222,6 @@ class TestReportJson:
             "class_r", "class_r_pref", "grounded", "greatest_fixed_point",
             "complete", "stable",
         ]
-
-    @pytest.mark.parametrize(
-        "name", ["example1.af", "example1_pref.af", "self_attack.af", "example4.af"]
-    )
-    def test_round_trip(self, name):
-        rep = evaluate(load(name))
-        assert report_from_json(report_to_json(rep)) == rep
 
 
 class TestAgainstOracles:
