@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .arguments import DEFAULT_CAP, check_cap
 from .framework import Framework, _bits, strict_masks
@@ -56,7 +56,8 @@ def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:
 
 # The operator kernels below walk set bits inline, lowest first, rather
 # than through the _bits generator: self_check calls them for every
-# subset in its pool.
+# subset in its pool. self_check also passes each subset's attacked set,
+# read from _attacked_lookup, so the kernels need not walk it again.
 
 def _attacked_by(fw: Framework, s: int) -> int:
     targets = fw.attack_targets_mask
@@ -68,8 +69,39 @@ def _attacked_by(fw: Framework, s: int) -> int:
     return out
 
 
-def _f_mask(fw: Framework, s: int) -> int:
-    uncountered = ~_attacked_by(fw, s)
+def _attacked_lookup(fw: Framework) -> Callable[[int], int]:
+    """A function giving _attacked_by(fw, s) from one table row per byte of s.
+
+    Row k maps each byte value b to the set attacked by the positions
+    8k + i for the bits i of b, built as row[b] = row[b ^ low] | targets
+    of low's position, where low is b's lowest bit. The last row only
+    spans the positions left, so the table holds at most 256 masks per
+    8 arguments.
+    """
+    targets = fw.attack_targets_mask
+    rows = []
+    for base in range(0, len(targets), 8):
+        row = [0] * (1 << min(8, len(targets) - base))
+        for b in range(1, len(row)):
+            low = b & -b
+            row[b] = row[b ^ low] | targets[base + low.bit_length() - 1]
+        rows.append(row)
+
+    def attacked(s: int) -> int:
+        out = 0
+        for row in rows:
+            out |= row[s & 255]
+            s >>= 8
+        return out
+
+    return attacked
+
+
+def _f_mask(fw: Framework, s: int, attacked: int | None = None) -> int:
+    """f_step of s; attacked, when given, is _attacked_by(fw, s)."""
+    if attacked is None:
+        attacked = _attacked_by(fw, s)
+    uncountered = ~attacked
     out = 0
     bit = 1
     for attackers in fw.attackers_mask:
@@ -79,12 +111,22 @@ def _f_mask(fw: Framework, s: int) -> int:
     return out
 
 
-def _g_mask(fw: Framework, s: int) -> int:
+def _g_mask(fw: Framework, s: int, attacked: int | None = None) -> int:
+    """g_step of s; attacked, when given, is _attacked_by(fw, s)."""
+    if attacked is None:
+        attacked = _attacked_by(fw, s)
     full = (1 << len(fw.arguments)) - 1
-    return full & ~_attacked_by(fw, s)
+    return full & ~attacked
 
 
-def _conflict_free_mask(fw: Framework, s: int, mode: str) -> bool:
+def _conflict_free_mask(fw: Framework, s: int, mode: str, attacked: int | None = None) -> bool:
+    """Whether s is conflict-free in the mode.
+
+    attacked, when given, is _attacked_by(fw, s); it follows attack
+    edges, so only weak mode reads it.
+    """
+    if attacked is not None and mode == "weak":
+        return not attacked & s
     targets = fw.defeat_targets_mask if mode == "strict" else fw.attack_targets_mask
     rest = s
     while rest:
@@ -349,9 +391,14 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     f_step, g_step and weak conflict-freeness are computed once for each
     subset in the pool, by calling _f_mask, _g_mask and
     _conflict_free_mask, and every subset-quantified law reads those
-    three tables. The pool is every subset when the framework is small,
-    and a seeded random sample above MAX_EXHAUSTIVE arguments. Never
-    raises: a framework above the cap only skips the extension laws.
+    three tables. Each subset's attacked set is read once from a table
+    built for this call (_attacked_lookup, one row of 256 masks per 8
+    arguments) and passed to all three kernels, so none walks the
+    subset's members again; subsets outside the pool that the laws
+    reach get theirs the same way. The pool is every subset when the
+    framework is small, and a seeded random sample above MAX_EXHAUSTIVE
+    arguments. Never raises: a framework above the cap only skips the
+    extension laws.
 
     On the exhaustive pool, f_monotone and g_antimonotone compare each
     subset with itself minus one member (covering pairs), and
@@ -367,9 +414,17 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     full = (1 << n) - 1
     exhaustive = n <= MAX_EXHAUSTIVE
     pool = _subset_pool(n)
-    f_of = {s: _f_mask(fw, s) for s in pool}
-    g_of = {s: _g_mask(fw, s) for s in pool}
-    cf_of = {s: _conflict_free_mask(fw, s, "weak") for s in pool}
+    lookup = _attacked_lookup(fw)
+    att_of = {s: lookup(s) for s in pool}
+
+    def att(s: int) -> int:
+        if s not in att_of:
+            att_of[s] = lookup(s)
+        return att_of[s]
+
+    f_of = {s: _f_mask(fw, s, att_of[s]) for s in pool}
+    g_of = {s: _g_mask(fw, s, att_of[s]) for s in pool}
+    cf_of = {s: _conflict_free_mask(fw, s, "weak", att_of[s]) for s in pool}
     results: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -398,10 +453,11 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     record("f_of_empty_is_unattacked_class", f_of[0] == unattacked)
     record("g_of_empty_is_everything", g_of[0] == full)
     record("g_of_everything_is_unattacked_class", g_of[full] == unattacked)
-    record("unattacked_class_conflict_free", _conflict_free_mask(fw, unattacked, "weak"))
+    record("unattacked_class_conflict_free",
+           _conflict_free_mask(fw, unattacked, "weak", att(unattacked)))
     record("conflict_free_iff_within_g", all(cf_of[s] == (s & ~g_of[s] == 0) for s in pool))
     record("f_preserves_conflict_freeness", all(
-        cf_of[fs] if fs in cf_of else _conflict_free_mask(fw, fs, "weak")
+        cf_of[fs] if fs in cf_of else _conflict_free_mask(fw, fs, "weak", att(fs))
         for fs in (f_of[s] for s in pool if cf_of[s])
     ))
 
@@ -427,9 +483,9 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
         for s in pool:
             for _ in range(4):
                 sub = s & rng.getrandbits(n)
-                if (f_of[sub] if sub in f_of else _f_mask(fw, sub)) & ~f_of[s]:
+                if (f_of[sub] if sub in f_of else _f_mask(fw, sub, att(sub))) & ~f_of[s]:
                     f_mono = False
-                if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub)):
+                if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub, att(sub))):
                     g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)
@@ -437,19 +493,19 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     # Grounded extension laws.
     grounded_ids, _ = grounded_extension(fw)
     grounded = _mask_of(fw, grounded_ids)
-    record("grounded_is_fixed_point", _f_mask(fw, grounded) == grounded)
-    record("grounded_conflict_free", _conflict_free_mask(fw, grounded, "weak"))
+    record("grounded_is_fixed_point", _f_mask(fw, grounded, att(grounded)) == grounded)
+    record("grounded_conflict_free", _conflict_free_mask(fw, grounded, "weak", att(grounded)))
     chain = union = unattacked
     while True:
-        chain = _f_mask(fw, chain)
+        chain = _f_mask(fw, chain, att(chain))
         if union | chain == union:
             break
         union |= chain
     record("grounded_is_union_of_f_chain", union == grounded, show(union))
 
-    gfp = _g_mask(fw, grounded)
-    gfp_conflict_free = _conflict_free_mask(fw, gfp, "weak")
-    record("gfp_is_fixed_point_of_f", _f_mask(fw, gfp) == gfp)
+    gfp = _g_mask(fw, grounded, att(grounded))
+    gfp_conflict_free = _conflict_free_mask(fw, gfp, "weak", att(gfp))
+    record("gfp_is_fixed_point_of_f", _f_mask(fw, gfp, att(gfp)) == gfp)
     # Conflict-freeness of the greatest fixed point collapses the whole
     # fixed-point interval: any member outside the grounded extension
     # keeps an attacker inside the gfp.
@@ -469,9 +525,9 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     for s in pool:
         fs = f_of[s]
         gs = g_of[s]
-        if (g_of[gs] if gs in g_of else _g_mask(fw, gs)) != fs:
+        if (g_of[gs] if gs in g_of else _g_mask(fw, gs, att(gs))) != fs:
             f_is_g_twice_ok = False
-        if fs != (g_of[fs] if fs in g_of else _g_mask(fw, fs)):
+        if fs != (g_of[fs] if fs in g_of else _g_mask(fw, fs, att(fs))):
             fgf_mismatch += 1
             if fs == s:
                 fgf_f_fp_mismatch += 1
@@ -480,7 +536,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
         if fs == s:
             if s & ~gfp or grounded & ~s:
                 sandwich_ok = False
-            if (f_of[gs] if gs in f_of else _f_mask(fw, gs)) != gs:
+            if (f_of[gs] if gs in f_of else _f_mask(fw, gs, att(gs))) != gs:
                 g_fp_ok = False
     record("fixed_points_between_grounded_and_gfp", sandwich_ok)
     record("g_of_fixed_point_is_fixed_point", g_fp_ok)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,15 +48,15 @@ def _full(fw):
 # built from the real one. Mask 1 is the first argument alone, which
 # neither the grounded iteration nor the f-chain of example1.af visits.
 PLANTS = {
-    "f_of_everything_empty": ("_f_mask", lambda real: lambda fw, s: (
-        0 if s == _full(fw) else real(fw, s))),
-    "f_of_first_everything": ("_f_mask", lambda real: lambda fw, s: (
-        _full(fw) if s == 1 else real(fw, s))),
-    "g_of_everything_everything": ("_g_mask", lambda real: lambda fw, s: (
-        _full(fw) if s == _full(fw) else real(fw, s))),
-    "g_fixes_first": ("_g_mask", lambda real: lambda fw, s: s if s == 1 else real(fw, s)),
-    "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode: (
-        s == _full(fw) or real(fw, s, mode))),
+    "f_of_everything_empty": ("_f_mask", lambda real: lambda fw, s, *r: (
+        0 if s == _full(fw) else real(fw, s, *r))),
+    "f_of_first_everything": ("_f_mask", lambda real: lambda fw, s, *r: (
+        _full(fw) if s == 1 else real(fw, s, *r))),
+    "g_of_everything_everything": ("_g_mask", lambda real: lambda fw, s, *r: (
+        _full(fw) if s == _full(fw) else real(fw, s, *r))),
+    "g_fixes_first": ("_g_mask", lambda real: lambda fw, s, *r: s if s == 1 else real(fw, s, *r)),
+    "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode, *r: (
+        s == _full(fw) or real(fw, s, mode, *r))),
 }
 
 
@@ -279,16 +280,28 @@ class TestKernelsAgainstOracles:
             rng.getrandbits(n) for _ in range(10)
         ]:
             members = semantics._ids_of(fw, s)
-            assert semantics._ids_of(fw, semantics._attacked_by(fw, s)) == oracles.attacked_by(
-                atk, members)
-            assert semantics._ids_of(fw, semantics._f_mask(fw, s)) == oracles.f_oracle(
-                ids, atk, members)
-            assert semantics._ids_of(fw, semantics._g_mask(fw, s)) == oracles.g_oracle(
-                ids, atk, members)
-            assert semantics._conflict_free_mask(fw, s, "weak") == oracles.conflict_free_oracle(
-                atk, members)
-            assert semantics._conflict_free_mask(fw, s, "strict") == (
-                oracles.conflict_free_oracle(dfs, members))
+            hit = oracles.attacked_by(atk, members)
+            assert semantics._ids_of(fw, semantics._attacked_by(fw, s)) == hit
+            # each kernel, given the attacked set, matches itself without it
+            att = semantics._mask_of(fw, hit)
+            for f, oracle in ((semantics._f_mask, oracles.f_oracle),
+                              (semantics._g_mask, oracles.g_oracle)):
+                assert f(fw, s, att) == f(fw, s)
+                assert semantics._ids_of(fw, f(fw, s)) == oracle(ids, atk, members)
+            cf = semantics._conflict_free_mask
+            for mode, edges in (("weak", atk), ("strict", dfs)):
+                assert cf(fw, s, mode, att) == cf(fw, s, mode)
+                assert cf(fw, s, mode) == oracles.conflict_free_oracle(edges, members)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 8, 9, 13, 16, 17, 31, 40, 63, 64, 65, 70])
+    def test_attacked_lookup_matches_oracle(self, n):
+        rng = random.Random(f"lookup:{n}")
+        fw = randgen.random_framework(rng, n, randgen.PREF_STYLES[n % 3], mutual=n // 4)
+        attacked = semantics._attacked_lookup(fw)
+        atk = set(fw.attacks)
+        for s in [0, _full(fw)] + [rng.getrandbits(n) for _ in range(20)]:
+            assert semantics._ids_of(fw, attacked(s)) == oracles.attacked_by(
+                atk, semantics._ids_of(fw, s))
 
 
 class TestSearchAgainstScan:
@@ -427,6 +440,41 @@ class TestSelfCheck:
         monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "fail"
+
+    @pytest.mark.parametrize("law,name,value", [
+        ("f_monotone", "_f_mask", _full),
+        ("g_antimonotone", "_g_mask", lambda fw: 0),
+    ])
+    def test_sampled_sub_subsets_reach_the_kernels(self, monkeypatch, law, name, value):
+        # Replay the sampled pool's four sub-subsets per member and plant
+        # the fault at the least one outside the pool. On a chain f_step
+        # never holds the second argument and g_step always holds the
+        # first, so either plant breaks its law through that one value.
+        n = MAX_EXHAUSTIVE + 1
+        pool = semantics._subset_pool(n)
+        rng = random.Random(semantics.SAMPLE_SEED + 1)
+        off_pool = min({s & rng.getrandbits(n) for s in pool for _ in range(4)} - set(pool))
+        fw = chain(n)
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "pass"
+        real = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda fw, s, *r: (
+            value(fw) if s == off_pool else real(fw, s, *r)))
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "fail"
+
+    def test_thousand_argument_chain_stays_small(self):
+        # The attacked-set table holds 256 masks per 8 arguments and lives
+        # only for one call.
+        fw = chain(1000)
+        tracemalloc.start()
+        try:
+            rep = self_check(fw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok, [r for r in rep.results if r.status == "fail"]
+        assert peak < 8_000_000
 
     @pytest.mark.parametrize("law,plant", [
         ("f_monotone", "f_of_first_everything"),
