@@ -21,8 +21,8 @@ preference relations, so --defeat, --pref and --query are rejected for
 them. --cap must be at least 0. An input file that is not valid UTF-8
 is a parse error, and so is a formula, in a .kb line or in --query,
 nested more than 100 levels deep. Exit codes: 0 success, 1 usage or
-parse error, 2 enumeration cap exceeded, 3 invariant failure from the
-check subcommand.
+parse error, 2 enumeration cap exceeded (check refuses either kind of
+input above --cap arguments), 3 invariant failure from check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from .arguments import DEFAULT_CAP, ArgumentUniverse, build_universe, universe_to_json
+from .arguments import DEFAULT_CAP, ArgumentUniverse, build_universe, check_cap, universe_to_json
 from .coherence import check_correspondence, correspondence_to_json, ref_to_json, subbase_to_json
 from .errors import AFFormatError, CapExceededError, FormulaSyntaxError, KBFormatError
 from .formulas import parse_formula, render
@@ -314,14 +314,15 @@ def cmd_graph(args) -> int:
 def cmd_check(args) -> int:
     """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
 
-    The correspondence check runs first, so a .kb whose universe exceeds
-    the cap exits 2 before the invariant suite spends any time on it.
+    Input of either kind with more arguments than the cap exits 2 before
+    the invariant suite spends any time on it.
     """
     _reject_dot(args)
     kb, fw = _load(args)
     universe = None
     if fw is None:
         universe, fw = _kb_framework(args, kb)
+    check_cap(fw.arguments, "arguments", args.cap)
     clauses = None
     if kb is not None:
         clauses = check_correspondence(kb, universe, args.cap)

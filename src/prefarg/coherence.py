@@ -8,7 +8,10 @@ Both selections live here, together with the cross-checks connecting
 them to the extension machinery built on undercut and certainty
 preference: subbase arguments against stable extensions, the support of
 the unattacked class against the common core of all preferred subbases,
-and the flat-base equivalence between the two pictures.
+and the flat-base equivalence between the two pictures. That one reuses
+the universe's undercut defeats under no preference: collapsing the
+strata moves only belief references and levels, never a support or a
+conclusion, and nothing reads levels without a preference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .arguments import (
     supp_of,
 )
 from .formulas import Formula, _table_for, render
-from .framework import PreferenceRelation, build_framework
+from .framework import Framework, PreferenceRelation, build_framework
 from .kb import BeliefRef, StratifiedKB
 from .semantics import class_cr_pref, grounded_extension, stable_extensions
 
@@ -139,8 +142,9 @@ def check_correspondence(
                                      arguments sit in every subbase
       class_within_every_stable      never-attacked arguments belong to
                                      each stable extension
-      flat_stable_equals_max_consistent  with strata collapsed and no
-                                     preference, stable extensions are
+      flat_stable_equals_max_consistent  the same defeats under no
+                                     preference (the collapsed base's
+                                     framework) have as stable extensions
                                      exactly the argument sets of the
                                      maximal consistent subbases
 
@@ -199,13 +203,11 @@ def check_correspondence(
         outside,
     ))
 
-    flat = kb.flatten()
-    flat_universe = build_universe(flat, universe.query, cap)
-    flat_fw = build_framework(flat_universe, "undercut", PreferenceRelation.none())
+    flat_fw = Framework(universe.arguments, fw.defeats, PreferenceRelation.none(), "undercut")
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
     flat_expected = {
-        frozenset(a.id for a in arg_of(flat_universe, sb))
-        for sb in max_consistent_subbases(flat, cap)
+        frozenset(a.id for a in arg_of(universe, sb))
+        for sb in max_consistent_subbases(kb, cap)
     }
     mismatch = None
     if flat_stable != flat_expected:

@@ -96,11 +96,6 @@ class StratifiedKB:
                 level = ref.stratum
         return level
 
-    def flatten(self) -> StratifiedKB:
-        """Collapse all beliefs into a single stratum, dropping rank information."""
-        beliefs = tuple(f for _, f in self.beliefs())
-        return StratifiedKB(self.core, (beliefs,) if beliefs else ())
-
 
 # Stratum numbers keep at most nine significant digits: int() raises
 # ValueError on digit strings past 4300 characters.

@@ -335,6 +335,26 @@ class TestCheck:
         code, _, _ = run("check", fx("example2.kb"))
         assert (code, calls) == (0, [20])
 
+    def test_over_cap_af_is_refused_before_self_check(self, run, tmp_path, monkeypatch):
+        names = [f"n{i}" for i in range(21)]
+        target = tmp_path / "chain21.af"
+        target.write_text(
+            " ".join(f"arg({x})." for x in names) + "\n"
+            + " ".join(f"def({x},{y})." for x, y in zip(names, names[1:])) + "\n",
+            encoding="utf-8",
+        )
+        calls = []
+        real = cli.self_check
+        monkeypatch.setattr(cli, "self_check", lambda fw, cap: calls.append(cap) or real(fw, cap))
+        for fmt in ("text", "json"):
+            code, out, err = run("check", str(target), "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == "prefarg: error: 21 arguments exceed the enumeration cap of 20\n"
+        assert calls == []
+        code, out, _ = run("check", str(target), "--cap", "21")
+        assert (code, calls) == (0, [21])
+        assert out.rstrip().endswith("self_check: ok")
+
     def test_failing_check_exits_3(self, run, monkeypatch):
         import prefarg.cli as cli_module
         from prefarg.semantics import CheckResult, SelfCheckReport

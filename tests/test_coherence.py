@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import oracles
 import randgen
 from conftest import fixture_text
+from prefarg import coherence
 from prefarg.arguments import build_universe
 from prefarg.coherence import (
     Subbase,
@@ -18,8 +20,10 @@ from prefarg.coherence import (
     subbase_to_json,
 )
 from prefarg.errors import CapExceededError
-from prefarg.formulas import render
-from prefarg.kb import BeliefRef, parse_kb
+from prefarg.formulas import parse_formula, render
+from prefarg.framework import PreferenceRelation, build_framework
+from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
+from prefarg.semantics import stable_extensions
 
 
 def refs(*pairs):
@@ -149,6 +153,97 @@ class TestAgainstOracles:
         kb, universe = randgen.random_kb(random.Random(seed + 300), max_universe=12)
         report = check_correspondence(kb, universe)
         assert report.ok, [c for c in report.clauses if c.status == "fail"]
+
+
+def _flattened(kb):
+    """The base with every belief moved into one stratum."""
+    beliefs = tuple(f for _, f in kb.beliefs())
+    return StratifiedKB(kb.core, (beliefs,) if beliefs else ())
+
+
+def _keys(arguments):
+    """Argument id -> (support formulas, conclusion), which flattening keeps."""
+    return {a.id: (a.support_formulas, a.conclusion) for a in arguments}
+
+
+def _keyed(keys, id_sets):
+    return {frozenset(keys[i] for i in ids) for ids in id_sets}
+
+
+def _flat_clause(report):
+    (clause,) = [c for c in report.clauses if c.name == "flat_stable_equals_max_consistent"]
+    return clause
+
+
+class TestFlatClause:
+    """The flat clause reads the stratified universe; the flattened base is its oracle."""
+
+    @pytest.mark.parametrize("case", ["example2.kb", "example3.kb", "empty", *range(40)])
+    @pytest.mark.parametrize("with_query", [False, True])
+    def test_matches_flattened_base(self, case, with_query, monkeypatch):
+        if case == "empty":
+            kb = parse_kb("[core]\nc\n")
+        elif isinstance(case, str):
+            kb = parse_kb(fixture_text(case))
+        else:
+            kb, _ = randgen.random_kb(random.Random(case + 700), query_chance=0)
+        query = parse_formula("a | !b") if with_query else None
+        universe = build_universe(kb, query)
+        seen = []
+        real = coherence.stable_extensions
+        monkeypatch.setattr(
+            coherence, "stable_extensions",
+            lambda fw, mode, cap: seen.append((fw, real(fw, mode, cap))) or seen[-1][1],
+        )
+        report = check_correspondence(kb, universe)
+        ((flat_fw, flat_stable),) = [(fw, e) for fw, e in seen if fw.preference.kind == "none"]
+
+        flat = _flattened(kb)
+        flat_universe = build_universe(flat, query)
+        oracle_fw = build_framework(flat_universe, "undercut", PreferenceRelation.none())
+        keys, oracle_keys = _keys(universe.arguments), _keys(flat_universe.arguments)
+        assert sorted(keys.values(), key=repr) == sorted(oracle_keys.values(), key=repr)
+        assert _keys(flat_fw.arguments) == keys
+        assert _keyed(keys, flat_fw.defeats) == _keyed(oracle_keys, oracle_fw.defeats)
+        assert _keyed(keys, flat_stable) == _keyed(
+            oracle_keys, stable_extensions(oracle_fw, "weak")
+        )
+        subbase_sets = [[a.id for a in arg_of(universe, sb)] for sb in max_consistent_subbases(kb)]
+        oracle_sets = [[a.id for a in arg_of(flat_universe, sb)]
+                       for sb in max_consistent_subbases(flat)]
+        assert _keyed(keys, subbase_sets) == _keyed(oracle_keys, oracle_sets)
+        assert _flat_clause(report).status == "pass"
+
+    def test_builds_one_framework_from_a_given_universe(self, monkeypatch):
+        kb = parse_kb(fixture_text("example2.kb"))
+        universe = build_universe(kb)
+        calls = Counter()
+        for name in ("build_universe", "build_framework"):
+            real = getattr(coherence, name)
+            monkeypatch.setattr(
+                coherence, name,
+                lambda *a, _name=name, _real=real, **k: calls.update([_name]) or _real(*a, **k),
+            )
+        assert check_correspondence(kb, universe).ok
+        assert calls == Counter(build_framework=1)
+
+    def test_counterexample_names_universe_ids(self, monkeypatch):
+        kb = parse_kb(fixture_text("example2.kb"))
+        universe = build_universe(kb)
+        real = coherence.max_consistent_subbases
+        dropped = real(kb)[1]
+        assert dropped.refs == refs((1, 0), (3, 0))
+        flat = _flattened(kb)
+        flat_ids = [a.id for a in arg_of(build_universe(flat), real(flat)[1])]
+        ids = [a.id for a in arg_of(universe, dropped)]
+        assert ids == ["A1", "A6", "A8"] != flat_ids
+        monkeypatch.setattr(
+            coherence, "max_consistent_subbases",
+            lambda kb, cap: [sb for sb in real(kb, cap) if sb != dropped],
+        )
+        clause = _flat_clause(check_correspondence(kb, universe))
+        assert clause.status == "fail"
+        assert clause.counterexample == {"stable_only": [ids], "subbase_only": []}
 
 
 class TestGuards:

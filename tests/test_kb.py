@@ -87,16 +87,6 @@ class TestStratifiedKB:
         assert kb.certainty_level([BeliefRef(1, 0)]) == 1
         assert kb.certainty_level([BeliefRef(1, 0), BeliefRef(3, 0)]) == 3
 
-    def test_flatten_collapses_ranks(self):
-        kb = parse_kb(fixture_text("example2.kb"))
-        flat = kb.flatten()
-        assert flat.n_strata == 1
-        assert flat.strata[0] == tuple(f for _, f in kb.beliefs())
-        assert flat.core == kb.core
-
-    def test_flatten_empty(self):
-        assert parse_kb("").flatten().strata == ()
-
     def test_constructor_validates_like_parser(self):
         with pytest.raises(KBFormatError):
             StratifiedKB((a, na), ())

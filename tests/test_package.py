@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import prefarg
-from prefarg import coherence, framework, semantics
+from prefarg import coherence, framework, kb, semantics
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -52,6 +52,7 @@ def test_all_names_resolve_once():
     (framework.Framework, "has_attack"),
     (coherence.Subbase, "slice_at"),
     (coherence.CorrespondenceReport, "clause"),
+    (kb.StratifiedKB, "flatten"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
