@@ -268,7 +268,7 @@ def cmd_coherence(args) -> int:
     if kb is None:
         return _usage(args, "the coherence subcommand needs a knowledge base")
     universe = build_universe(kb, _query_formula(args), args.cap)
-    report = check_correspondence(kb, universe, args.cap)
+    report = check_correspondence(universe, args.cap)
     common = sorted(report.intersection)
     if args.fmt == "json":
         _emit(_dumps({
@@ -323,9 +323,7 @@ def cmd_check(args) -> int:
     if fw is None:
         universe, fw = _kb_framework(args, kb)
     check_cap(fw.arguments, "arguments", args.cap)
-    clauses = None
-    if kb is not None:
-        clauses = check_correspondence(kb, universe, args.cap)
+    clauses = None if universe is None else check_correspondence(universe, args.cap)
     report = self_check(fw, args.cap)
     ok = report.ok and (clauses is None or clauses.ok)
     if args.fmt == "json":

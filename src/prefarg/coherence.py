@@ -1,17 +1,18 @@
 """Consistent views of a stratified base, tied back to extensions.
 
-A base with contradictions supports several coherent readings. Walking
-strata best-first gives the preferred subbases: keep a maximal
-consistent slice of stratum 1, extend it maximally through stratum 2,
-and so on. Ignoring strata gives the plain maximal consistent subsets.
-Both selections live here, together with the cross-checks connecting
-them to the extension machinery built on undercut and certainty
-preference: subbase arguments against stable extensions, the support of
-the unattacked class against the common core of all preferred subbases,
-and the flat-base equivalence between the two pictures. That one reuses
-the universe's undercut defeats under no preference: collapsing the
-strata moves only belief references and levels, never a support or a
-conclusion, and nothing reads levels without a preference.
+A base with contradictions supports several coherent readings: the
+maximal consistent subsets, which ignore strata, and among them the
+preferred subbases, which leave out no belief at stratum k consistent
+with the core and the beliefs they keep from strata 1..k (Brewka 1989).
+Both come from one walk and live here, together with the cross-checks
+connecting them to the extension machinery built on undercut and
+certainty preference: subbase arguments against stable extensions, the
+support of the unattacked class against the common core of all
+preferred subbases, and the flat-base equivalence between the two
+pictures. That one reuses the universe's undercut defeats under no
+preference: collapsing the strata moves only belief references and
+levels, never a support or a conclusion, and nothing reads levels
+without a preference.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .arguments import (
     DEFAULT_CAP,
     Argument,
     ArgumentUniverse,
-    build_universe,
     check_cap,
     consistent_subsets,
     supp_of,
@@ -45,42 +45,46 @@ class Subbase:
         return tuple(kb.resolve(r) for r in self.refs)
 
 
-def _maximal_subbases(kb: StratifiedKB, groups: list[list[BeliefRef]], cap: int) -> list[Subbase]:
-    """Selections that are maximal consistent within each group, groups taken in order.
+def _subbase_lists(kb: StratifiedKB, cap: int) -> tuple[list[Subbase], list[Subbase]]:
+    """The maximal consistent subsets, and the preferred subbases among them.
 
-    Every consistent subset of a group extends every selection kept
-    from the groups before it; it is kept when no further belief of its
-    group can join it, as satisfiability is closed under removal.
+    One consistent-subset walk keeps each subset no further belief can
+    join, and the stratum-by-stratum test runs on those alone. The walk
+    yields subsets in ascending order, so both lists come out sorted.
     """
-    check_cap(kb.belief_refs(), "beliefs", cap)
+    refs = kb.belief_refs()
+    check_cap(refs, "beliefs", cap)
     table = _table_for(itertools.chain(kb.core, *kb.strata))
-    branches: list[tuple[tuple[BeliefRef, ...], int]] = [((), table.conjunction_mask(kb.core))]
-    for group in groups:
-        masks = [table.mask(kb.resolve(r)) for r in group]
-        grown = []
-        for kept, prefix_mask in branches:
-            for combo, model in consistent_subsets(masks, prefix_mask):
-                chosen = set(combo)
-                if not any(model & m for i, m in enumerate(masks) if i not in chosen):
-                    grown.append((kept + tuple(group[i] for i in combo), model))
-        branches = grown
-    return sorted((Subbase(kept) for kept, _ in branches), key=lambda sb: sb.refs)
+    core_mask = table.conjunction_mask(kb.core)
+    masks = [table.mask(kb.resolve(r)) for r in refs]
+    spans = [list(g) for _, g in itertools.groupby(range(len(refs)), lambda i: refs[i].stratum)]
+    maximal, preferred = [], []
+    for combo, model in consistent_subsets(masks, core_mask):
+        chosen = set(combo)
+        if any(model & m for i, m in enumerate(masks) if i not in chosen):
+            continue
+        subbase = Subbase(tuple(refs[i] for i in combo))
+        maximal.append(subbase)
+        prefix = core_mask
+        for span in spans:
+            for i in span:
+                if i in chosen:
+                    prefix &= masks[i]
+            if any(prefix & masks[i] for i in span if i not in chosen):
+                break
+        else:
+            preferred.append(subbase)
+    return maximal, preferred
 
 
 def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """All preferred subbases, prefix-maximal consistent stratum by stratum.
 
-    A selection qualifies when, at every stratum j, the beliefs kept
-    from strata 1..j form a maximal consistent subset of those strata
-    together with the core. Stratum by stratum, the consistent-subset
-    walk runs from the model of each partial selection, and every
-    augmentation that no further belief of the stratum can join extends
-    it; maximality of the earlier prefix is never disturbed because
-    anything it excluded stays contradictory in any superset.
+    They are the maximal consistent subsets that leave out no belief at
+    stratum k consistent with the core and the beliefs they keep from
+    strata 1..k, so a call on its own pays the full maximal-consistent walk.
     """
-    groups = [[BeliefRef(j, pos) for pos in range(len(stratum))]
-              for j, stratum in enumerate(kb.strata, start=1)]
-    return _maximal_subbases(kb, groups, cap)
+    return _subbase_lists(kb, cap)[1]
 
 
 def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
@@ -89,7 +93,7 @@ def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
 
 def max_consistent_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """Maximal selections consistent with the core, stratification ignored."""
-    return _maximal_subbases(kb, [list(kb.belief_refs())], cap)
+    return _subbase_lists(kb, cap)[0]
 
 
 def arg_of(
@@ -126,9 +130,7 @@ def _show_refs(kb: StratifiedKB, refs: Iterable[BeliefRef]) -> str:
 
 
 def check_correspondence(
-    kb: StratifiedKB,
-    universe: ArgumentUniverse | None = None,
-    cap: int = DEFAULT_CAP,
+    universe: ArgumentUniverse, cap: int = DEFAULT_CAP
 ) -> CorrespondenceReport:
     """Cross-check subbase selection against undercut/certainty extensions.
 
@@ -149,15 +151,14 @@ def check_correspondence(
                                      maximal consistent subbases
 
     A final informational clause shows the grounded extension's support
-    next to the subbase intersection without asserting anything.
+    next to the subbase intersection without asserting anything. The
+    base is the universe's own, and one subbase walk serves both the
+    stratified clauses and the flat one.
     """
-    if universe is None:
-        universe = build_universe(kb, cap=cap)
-    elif universe.kb != kb:
-        raise ValueError("universe was built from a different knowledge base")
+    kb = universe.kb
     clauses: list[ClauseResult] = []
 
-    subbases = incl_subbases(kb, cap)
+    maximal, subbases = _subbase_lists(kb, cap)
     common = _common_refs(subbases)
 
     fw = build_framework(universe, defeat="undercut")
@@ -205,10 +206,7 @@ def check_correspondence(
 
     flat_fw = Framework(universe.arguments, fw.defeats, PreferenceRelation.none(), "undercut")
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
-    flat_expected = {
-        frozenset(a.id for a in arg_of(universe, sb))
-        for sb in max_consistent_subbases(kb, cap)
-    }
+    flat_expected = {frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
     mismatch = None
     if flat_stable != flat_expected:
         mismatch = {

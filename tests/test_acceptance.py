@@ -260,7 +260,7 @@ def kb_oracle_battery(kb, universe):
     undefeated_rebut = class_cr(build_framework(universe, "rebut", plain))
     assert undefeated_undercut <= undefeated_rebut
 
-    report = check_correspondence(kb, universe)
+    report = check_correspondence(universe)
     failing = [c.name for c in report.clauses if c.status == "fail"]
     assert not failing, failing
 

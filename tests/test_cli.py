@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -254,21 +255,20 @@ class TestCoherence:
         assert "needs a knowledge base" in err
 
     def test_enumerates_subbases_once(self, run, monkeypatch):
-        import prefarg.cli as cli_module
         import prefarg.coherence as coherence_module
 
-        original = coherence_module.incl_subbases
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in (cli_module, coherence_module):
-            monkeypatch.setattr(module, "incl_subbases", counted, raising=False)
-        code, _, _ = run("coherence", fx("example2.kb"), "--format", "json")
-        assert code == 0
-        assert len(calls) == 1
+        calls = Counter()
+        for name in ("consistent_subsets", "_table_for"):
+            real = getattr(coherence_module, name)
+            monkeypatch.setattr(
+                coherence_module, name,
+                lambda *a, _name=name, _real=real: calls.update([_name]) or _real(*a),
+            )
+        for command in ("coherence", "check"):
+            calls.clear()
+            code, _, _ = run(command, fx("example2.kb"), "--format", "json")
+            assert code == 0
+            assert calls == Counter(consistent_subsets=1, _table_for=1), command
 
 
 class TestGraph:

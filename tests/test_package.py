@@ -53,6 +53,7 @@ def test_all_names_resolve_once():
     (coherence.Subbase, "slice_at"),
     (coherence.CorrespondenceReport, "clause"),
     (kb.StratifiedKB, "flatten"),
+    (coherence, "_maximal_subbases"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
