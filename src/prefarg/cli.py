@@ -146,16 +146,7 @@ def _ids(ids) -> str:
     return "{" + ", ".join(ids) + "}"
 
 
-def _reject_dot(args) -> None:
-    if args.fmt == "dot":
-        raise SystemExit(_usage(args, "--format dot only applies to the graph subcommand"))
-
-
-def cmd_arguments(args) -> int:
-    _reject_dot(args)
-    kb, fw = _load(args)
-    if kb is None:
-        return _usage(args, "the arguments subcommand needs a knowledge base")
+def cmd_arguments(args, kb, fw) -> int:
     universe = build_universe(kb, _query_formula(args), args.cap)
     if args.fmt == "json":
         _emit(_dumps(universe_to_json(universe)))
@@ -195,9 +186,7 @@ def _extension_text(args, report) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def cmd_extensions(args) -> int:
-    _reject_dot(args)
-    kb, fw = _load(args)
+def cmd_extensions(args, kb, fw) -> int:
     if fw is None:
         _, fw = _kb_framework(args, kb)
     report = evaluate(fw, args.mode, args.cap)
@@ -208,11 +197,7 @@ def cmd_extensions(args) -> int:
     return 0
 
 
-def cmd_accept(args) -> int:
-    _reject_dot(args)
-    kb, fw = _load(args)
-    if kb is None:
-        return _usage(args, "the accept subcommand needs a knowledge base")
+def cmd_accept(args, kb, fw) -> int:
     if args.query is None:
         return _usage(args, "the accept subcommand needs --query")
     universe, fw = _kb_framework(args, kb)
@@ -262,11 +247,7 @@ def cmd_accept(args) -> int:
     return 0
 
 
-def cmd_coherence(args) -> int:
-    _reject_dot(args)
-    kb, fw = _load(args)
-    if kb is None:
-        return _usage(args, "the coherence subcommand needs a knowledge base")
+def cmd_coherence(args, kb, fw) -> int:
     universe = build_universe(kb, _query_formula(args), args.cap)
     report = check_correspondence(universe, args.cap)
     common = sorted(report.intersection)
@@ -292,10 +273,7 @@ def cmd_coherence(args) -> int:
     return 0
 
 
-def cmd_graph(args) -> int:
-    if args.fmt == "json":
-        return _usage(args, "the graph subcommand writes DOT, use --format dot")
-    kb, fw = _load(args)
+def cmd_graph(args, kb, fw) -> int:
     if fw is None:
         _, fw = _kb_framework(args, kb)
     attacks = set(fw.attacks)
@@ -311,14 +289,12 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, kb, fw) -> int:
     """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
 
     Input of either kind with more arguments than the cap exits 2 before
     the invariant suite spends any time on it.
     """
-    _reject_dot(args)
-    kb, fw = _load(args)
     universe = None
     if fw is None:
         universe, fw = _kb_framework(args, kb)
@@ -371,11 +347,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Check the input rules in order (--cap, --format, the file, its kind), then run."""
     args = _build_parser().parse_args(argv)
     if args.cap < 0:
         return _usage(args, f"--cap must be at least 0, got {args.cap}")
+    if args.fmt == "dot" and args.command != "graph":
+        return _usage(args, "--format dot only applies to the graph subcommand")
+    if args.fmt == "json" and args.command == "graph":
+        return _usage(args, "the graph subcommand writes DOT, use --format dot")
     try:
-        return _COMMANDS[args.command](args)
+        kb, fw = _load(args)
+        if kb is None and args.command in ("arguments", "accept", "coherence"):
+            return _usage(args, f"the {args.command} subcommand needs a knowledge base")
+        return _COMMANDS[args.command](args, kb, fw)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (FormulaSyntaxError, KBFormatError, AFFormatError) as exc:

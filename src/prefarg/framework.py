@@ -4,7 +4,10 @@ Defeat is purely logical. One argument rebuts another when its
 conclusion is equivalent to the negation of the other's conclusion; it
 undercuts the other when its conclusion is equivalent to the negation
 of some member of the other's support. Equivalence is semantic, so `r`
-rebuts `!r` as well as `!!!r`.
+rebuts `!r` as well as `!!!r`. The two kinds differ only in which
+formulas of the target are negated, so one keyed pass finds either:
+each target is filed under the truth masks of those negations, and each
+argument looks its own conclusion mask up once.
 
 A preference preorder then filters defeats into attacks: a defeat of A
 by B becomes an attack unless A is strictly preferred to B, in which
@@ -31,7 +34,6 @@ into equivalences, as a preorder allows.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -258,35 +260,27 @@ def build_framework(
     defeat: str = "undercut",
     preference: PreferenceRelation | None = None,
 ) -> Framework:
-    """Compute all pairwise defeats over a universe and derive the attacks.
+    """Compute every defeat over a universe and derive the attacks.
 
-    The pairwise tests run on truth masks over one shared table, so the
-    n^2 sweep stays cheap: two formulas are equivalent exactly when
-    their masks are equal, which decides both defeat kinds edge by edge.
+    Defeats come from one keyed pass. Each argument is keyed by the
+    truth mask of the negation of every formula it can be defeated
+    through: its conclusion under rebut, each support member under
+    undercut. An argument's targets are then the arguments keyed by its
+    own conclusion mask. Masks share one table over the candidate
+    conclusions, which include every conclusion and support member, so
+    two masks are equal exactly when their formulas are equivalent.
     """
     if defeat not in ("rebut", "undercut"):
         raise ValueError(f"defeat must be 'rebut' or 'undercut', got {defeat!r}")
     if preference is None:
         preference = PreferenceRelation.by_certainty()
     args = universe.arguments
-    table = _table_for(itertools.chain.from_iterable(
-        (a.conclusion, *a.support_formulas) for a in args
-    ))
-    conclusion_masks = [table.mask(a.conclusion) for a in args]
-    edges: list[tuple[str, str]] = []
-    if defeat == "rebut":
-        for i, a in enumerate(args):
-            for j, b in enumerate(args):
-                if conclusion_masks[i] ^ conclusion_masks[j] == table.full:
-                    edges.append((a.id, b.id))
-    else:
-        negated_supports = [
-            frozenset(table.full ^ table.mask(f) for f in a.support_formulas) for a in args
-        ]
-        for i, a in enumerate(args):
-            for j, b in enumerate(args):
-                if conclusion_masks[i] in negated_supports[j]:
-                    edges.append((a.id, b.id))
+    table = _table_for(universe.candidates)
+    defeated_through: dict[int, list[str]] = {}
+    for b in args:
+        for f in (b.conclusion,) if defeat == "rebut" else b.support_formulas:
+            defeated_through.setdefault(table.full ^ table.mask(f), []).append(b.id)
+    edges = [(a.id, b) for a in args for b in defeated_through.get(table.mask(a.conclusion), ())]
     return Framework(args, edges, preference, defeat)
 
 

@@ -518,6 +518,22 @@ class TestInputHandling:
         assert code == 1
         assert "only applies to the graph subcommand" in err
 
+    @pytest.mark.parametrize("name,argv,err", [
+        *[(name, ["arguments", "--format", "dot"],
+           "prefarg arguments: error: --format dot only applies to the graph subcommand\n")
+          for name in ("bad.af", "missing.af")],
+        *[(name, ["graph", "--format", "json"],
+           "prefarg graph: error: the graph subcommand writes DOT, use --format dot\n")
+          for name in ("bad.af", "missing.af")],
+        ("bad.af", ["arguments"], "prefarg: error: line 1: cannot parse fact near 'def(a'\n"),
+    ])
+    def test_input_rules_apply_in_order(self, run, tmp_path, name, argv, err):
+        # The format rules come before the file is read, and the parse
+        # before the check that the subcommand needs a knowledge base.
+        (tmp_path / "bad.af").write_text("arg(a). def(a\n", encoding="utf-8")
+        command, *flags = argv
+        assert run(command, str(tmp_path / name), *flags) == (1, "", err)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", [

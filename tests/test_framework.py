@@ -174,6 +174,17 @@ EXAMPLE2_REBUT_DEFEATS = [
 ]
 
 
+# Candidate pools holding formulas that no argument concludes or rests on.
+EDGE_BASES = {
+    # the core rules the belief !a out of every argument
+    "core-excludes": ("[core]\na\n[stratum 1]\n!a\nb\n[stratum 2]\n!b\n", None),
+    # the query's atom occurs nowhere in the base
+    "foreign-query": ("[stratum 1]\na\nb\n[stratum 2]\n!a\n", "z"),
+}
+# randgen seeds whose universes hold 20 to 40 arguments and defeats of both kinds
+WIDE_SEEDS = (154, 172, 234, 374)
+
+
 class TestBuildFramework:
     def test_example2_undercut_edges(self):
         fw = build_framework(build_universe(parse_kb(fixture_text("example2.kb"))))
@@ -197,10 +208,17 @@ class TestBuildFramework:
         with pytest.raises(ValueError):
             build_framework(universe, "bite")
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("case", [*range(20), *EDGE_BASES, *(f"wide-{s}" for s in WIDE_SEEDS)])
     @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
-    def test_edges_match_pairwise_oracle(self, seed, defeat):
-        _, universe = randgen.random_kb(random.Random(seed), max_universe=10)
+    def test_edges_match_pairwise_oracle(self, case, defeat):
+        if isinstance(case, int):
+            _, universe = randgen.random_kb(random.Random(case), max_universe=10)
+        elif case in EDGE_BASES:
+            text, query = EDGE_BASES[case]
+            universe = build_universe(parse_kb(text), query and parse_formula(query))
+        else:
+            _, universe = randgen.random_kb(random.Random(int(case[5:])), max_universe=40)
+            assert 20 <= len(universe.arguments) <= 40
         fw = build_framework(universe, defeat)
         relation = rebuts if defeat == "rebut" else undercuts
         expected = [

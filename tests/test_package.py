@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import prefarg
-from prefarg import coherence, framework, kb, semantics
+from prefarg import cli, coherence, framework, kb, semantics
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -54,6 +54,7 @@ def test_all_names_resolve_once():
     (coherence.CorrespondenceReport, "clause"),
     (kb.StratifiedKB, "flatten"),
     (coherence, "_maximal_subbases"),
+    (cli, "_reject_dot"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
