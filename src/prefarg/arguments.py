@@ -9,9 +9,15 @@ canonical negation, which is exactly what the rebut and undercut
 relations need to find their counterarguments.
 
 Supports come from one depth-first walk over the belief subsets that
-are consistent with the core, `consistent_subsets`, which also yields
-the preferred subbases in `coherence`. It never enters an inconsistent
-subset, and it refuses to run past the cap (default 20 beliefs).
+are consistent with the core and irredundant: every member rules out
+some model that no other member rules out (Besnard & Hunter 2001). A
+minimal support is irredundant, since a member that follows from the
+others and the core can be dropped without changing the subset's models,
+and then the smaller subset entails whatever the larger one does. Every
+superset of a redundant subset is redundant too, so the walk never
+enters one, and every subset of an irredundant one is irredundant, so
+the walk still reaches them all. It refuses to run past the cap
+(default 20 beliefs).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Sized
+from typing import Iterable, Sequence, Sized
 
 from .errors import CapExceededError
 from .formulas import Formula, _table_for, negate_canonical, render, unique_formulas
@@ -88,36 +94,27 @@ def check_cap(items: Sized, noun: str, cap: int) -> None:
         raise CapExceededError(f"{len(items)} {noun} exceed the enumeration cap of {cap}")
 
 
-def consistent_subsets(masks: Sequence[int], base: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every subset of masks satisfiable together with base, with its model mask.
-
-    Yields (ascending index tuple, model mask) pairs depth first, in
-    lexicographic order of the tuples. A subset grows only by indices
-    above its highest member, and a branch ends at the first zero mask,
-    since a superset of an unsatisfiable subset stays unsatisfiable.
-    Nothing but the pending branches is kept.
-    """
-    if not base:
-        return
-    pending = [((), base)]
-    while pending:
-        combo, model = pending.pop()
-        yield combo, model
-        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
-            if model & masks[i]:
-                pending.append((combo + (i,), model & masks[i]))
-
-
 def _supports_by_conclusion(
     kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
 ) -> list[list[tuple[BeliefRef, ...]]]:
     """The minimal supports of each conclusion, in the order given.
 
-    One walk over the consistent belief subsets serves every
-    conclusion: a subset supports a conclusion when its model entails
-    it and no subset formed by dropping one member does. Dropping the
-    last member gives the subset's parent in the walk, so only the
-    conclusions its parent leaves open are tested.
+    One walk serves every conclusion. A subset grows only by beliefs
+    above its highest member, and only into irredundant subsets: each
+    member keeps its own models, the models of the core and the other
+    members that it alone rules out. If a member has none, it follows
+    from the rest, so the subset and every superset have the same models
+    as they have without it and none is a minimal support. A belief
+    joins only if it keeps some of the subset's models and rules out
+    some others, and only if every member keeps an own model that
+    satisfies it. The child's members own those models, and the new
+    belief owns the models it rules out.
+
+    A subset supports a conclusion when its model entails it and no
+    subset formed by dropping one member does. Dropping member j adds
+    exactly j's own models, so that test is one mask per member.
+    Dropping the last member gives the subset's parent in the walk, so
+    only the conclusions its parent leaves open are tested.
     """
     refs = kb.belief_refs()
     check_cap(refs, "beliefs", cap)
@@ -126,23 +123,26 @@ def _supports_by_conclusion(
     masks = [table.mask(kb.resolve(r)) for r in refs]
     outside = [table.full ^ table.mask(c) for c in conclusions]
     found: list[list[tuple[BeliefRef, ...]]] = [[] for _ in conclusions]
-    # open_at[d]: the conclusions that the branch's subset of size d - 1 does not entail
-    open_at = [range(len(conclusions))]
-    for combo, model in consistent_subsets(masks, core_mask):
-        del open_at[len(combo) + 1:]
-        still, entailed = [], []
-        for k in open_at[-1]:
-            (still if model & outside[k] else entailed).append(k)
-        open_at.append(still)
-        for k in entailed:
-            for j in range(len(combo) - 1):
-                m = core_mask
-                for i in combo[:j] + combo[j + 1:]:
-                    m &= masks[i]
-                if not m & outside[k]:
-                    break
-            else:
+    if not core_mask:
+        return found
+    # (subset, its model, each member's own models, conclusions the parent leaves open)
+    pending = [((), core_mask, [], range(len(conclusions)))]
+    while pending:
+        combo, model, own, parent_open = pending.pop()
+        still = []
+        for k in parent_open:
+            if model & outside[k]:
+                still.append(k)
+            elif all(o & outside[k] for o in own):
                 found[k].append(tuple(refs[i] for i in combo))
+        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
+            child = model & masks[i]
+            if not child or child == model:
+                continue
+            child_own = [o & masks[i] for o in own]
+            if all(child_own):
+                child_own.append(model ^ child)
+                pending.append((combo + (i,), child, child_own, still))
     for supports in found:
         supports.sort(key=lambda s: (len(s), s))
     return found

@@ -19,16 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .arguments import (
-    DEFAULT_CAP,
-    Argument,
-    ArgumentUniverse,
-    check_cap,
-    consistent_subsets,
-    supp_of,
-)
+from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, check_cap, supp_of
 from .formulas import Formula, _table_for, render
 from .framework import Framework, PreferenceRelation, build_framework
 from .kb import BeliefRef, StratifiedKB
@@ -43,6 +36,26 @@ class Subbase:
 
     def formulas(self, kb: StratifiedKB) -> tuple[Formula, ...]:
         return tuple(kb.resolve(r) for r in self.refs)
+
+
+def consistent_subsets(masks: Sequence[int], base: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every subset of masks satisfiable together with base, with its model mask.
+
+    Yields (ascending index tuple, model mask) pairs depth first, in
+    lexicographic order of the tuples. A subset grows only by indices
+    above its highest member, and a branch ends at the first zero mask,
+    since a superset of an unsatisfiable subset stays unsatisfiable.
+    Nothing but the pending branches is kept.
+    """
+    if not base:
+        return
+    pending = [((), base)]
+    while pending:
+        combo, model = pending.pop()
+        yield combo, model
+        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
+            if model & masks[i]:
+                pending.append((combo + (i,), model & masks[i]))
 
 
 def _subbase_lists(kb: StratifiedKB, cap: int) -> tuple[list[Subbase], list[Subbase]]:

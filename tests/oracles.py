@@ -4,8 +4,9 @@ Everything here favours clarity over speed: formulas are evaluated by
 structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
-under test, except scan_fixed_points at the end, which keeps the old
-exhaustive extension scan as the reference for the pruned search.
+under test, except the two walks at the end: supports_walk_oracle and
+scan_fixed_points keep the exhaustive subset walk and extension scan the
+package ran before its pruned ones, as references for them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from prefarg import semantics
-from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, atoms
+from prefarg.coherence import consistent_subsets
+from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, _table_for, atoms
 from prefarg.kb import StratifiedKB
 
 
@@ -202,9 +204,46 @@ def closure_oracle(pairs, ids) -> set[tuple[str, str]]:
         closed |= extra
 
 
-# The exhaustive scan the package ran before its pruned search. It runs
-# on the package's own bitmask operators, which the oracles above check
-# on their own, so it pins down the search's output and its order.
+# The exhaustive walk and scan the package ran before its pruned ones.
+# They run on the package's own bitmask operators, which the oracles
+# above check on their own, so they pin down the output and its order.
+
+def supports_walk_oracle(kb: StratifiedKB, conclusions) -> list[list[tuple]]:
+    """The minimal supports of each conclusion, from every consistent subset.
+
+    Visits each belief subset consistent with the core: a subset
+    supports a conclusion when its model entails it, its parent in the
+    walk (the subset less its last member) does not, and neither does
+    any other drop-one subset, rebuilt as a conjunction. Each list is
+    ordered by size, then by ref positions.
+    """
+    refs = kb.belief_refs()
+    table = _table_for(itertools.chain(kb.core, *kb.strata, conclusions))
+    core_mask = table.conjunction_mask(kb.core)
+    masks = [table.mask(kb.resolve(r)) for r in refs]
+    outside = [table.full ^ table.mask(c) for c in conclusions]
+    found = [[] for _ in conclusions]
+    # open_at[d]: the conclusions that the branch's subset of size d - 1 does not entail
+    open_at = [range(len(conclusions))]
+    for combo, model in consistent_subsets(masks, core_mask):
+        del open_at[len(combo) + 1:]
+        still, entailed = [], []
+        for k in open_at[-1]:
+            (still if model & outside[k] else entailed).append(k)
+        open_at.append(still)
+        for k in entailed:
+            for j in range(len(combo) - 1):
+                m = core_mask
+                for i in combo[:j] + combo[j + 1:]:
+                    m &= masks[i]
+                if not m & outside[k]:
+                    break
+            else:
+                found[k].append(tuple(refs[i] for i in combo))
+    for supports in found:
+        supports.sort(key=lambda s: (len(s), s))
+    return found
+
 
 def scan_fixed_points(fw, mode: str, step) -> list[frozenset]:
     """Sets of every size that are conflict-free in mode and fixed by step.

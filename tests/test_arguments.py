@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,9 @@ import oracles
 import randgen
 from conftest import fixture_text
 from prefarg.arguments import (
+    DEFAULT_CAP,
     Argument,
+    _supports_by_conclusion,
     build_universe,
     candidate_conclusions,
     minimal_supports,
@@ -15,7 +18,7 @@ from prefarg.arguments import (
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
-from prefarg.kb import BeliefRef, parse_kb
+from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
 
 
 def example2():
@@ -103,6 +106,63 @@ class TestMinimalSupports:
                 oracles.minimal_supports_oracle(base, conclusion)
             )
             assert found == sorted(found, key=lambda s: (len(s), s))
+
+
+def _unchecked_kb(core: tuple, strata: tuple) -> StratifiedKB:
+    """A base built past validation, which refuses an inconsistent core."""
+    kb = object.__new__(StratifiedKB)
+    object.__setattr__(kb, "core", core)
+    object.__setattr__(kb, "strata", strata)
+    return kb
+
+
+# Bases where the walk skips a belief or a whole branch as redundant.
+PRUNED_BASES = {
+    "equivalent-across-strata": (
+        parse_kb("[stratum 1]\na\nb\n[stratum 2]\n!b | c\n[stratum 3]\n!!a\n!c\n"), None
+    ),
+    "entailed-belief": (parse_kb("[stratum 1]\na\nb\na & b\n[stratum 2]\n!a | !b\n"), None),
+    "tautology": (parse_kb("[stratum 1]\na | !a\nb\n[stratum 2]\n!b\n"), None),
+    "core-entails-belief": (parse_kb("[core]\na\n[stratum 1]\na | b\n!b\nb -> !a\n"), None),
+    "inconsistent-core": (
+        _unchecked_kb((Atom("a"), negate_canonical(Atom("a"))), ((Atom("a"), Atom("b")),)), Atom("a")
+    ),
+    "foreign-query": (parse_kb("[stratum 1]\na\n!a | b\n[stratum 2]\n!b\n"), Atom("z")),
+}
+
+
+class TestSupportWalk:
+    """The irredundant walk against the full consistent-subset walk it replaced."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_full_walk_on_random_bases(self, seed):
+        base, universe = randgen.random_kb(random.Random(seed))
+        pool = candidate_conclusions(base, universe.query)
+        assert _supports_by_conclusion(base, pool, DEFAULT_CAP) == (
+            oracles.supports_walk_oracle(base, pool)
+        )
+
+    @pytest.mark.parametrize("case", sorted(PRUNED_BASES))
+    def test_matches_full_walk_where_pruning_fires(self, case):
+        base, query = PRUNED_BASES[case]
+        pool = candidate_conclusions(base, query)
+        assert _supports_by_conclusion(base, pool, DEFAULT_CAP) == (
+            oracles.supports_walk_oracle(base, pool)
+        )
+
+    def test_equivalent_beliefs_never_combine(self):
+        # all 2^20 subsets are consistent, but no two members are irredundant together
+        texts = ["a" + " & a" * k for k in range(20)]
+        base = parse_kb(
+            "[stratum 1]\n" + "\n".join(texts[:10]) + "\n[stratum 2]\n" + "\n".join(texts[10:]) + "\n"
+        )
+        start = time.perf_counter()
+        universe = build_universe(base)
+        elapsed = time.perf_counter() - start
+        for_a = [arg.support for arg in universe.arguments if arg.conclusion == Atom("a")]
+        assert sorted(for_a) == [(ref,) for ref in base.belief_refs()]
+        assert not any(arg.conclusion == negate_canonical(Atom("a")) for arg in universe.arguments)
+        assert elapsed < 0.25
 
 
 class TestBuildUniverse:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import prefarg
-from prefarg import cli, coherence, framework, kb, semantics
+from prefarg import arguments, cli, coherence, framework, kb, semantics
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -55,6 +55,7 @@ def test_all_names_resolve_once():
     (kb.StratifiedKB, "flatten"),
     (coherence, "_maximal_subbases"),
     (cli, "_reject_dot"),
+    (arguments, "consistent_subsets"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
