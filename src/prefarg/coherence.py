@@ -4,7 +4,10 @@ A base with contradictions supports several coherent readings: the
 maximal consistent subsets, which ignore strata, and among them the
 preferred subbases, which leave out no belief at stratum k consistent
 with the core and the beliefs they keep from strata 1..k (Brewka 1989).
-Both come from one walk and live here, together with the cross-checks
+Both come from one walk that splits the core's models belief by belief:
+a finished node is maximal when no model of the beliefs it keeps
+satisfies one more, and preferred when that held as well at the end of
+every stratum. They live here, together with the cross-checks
 connecting them to the extension machinery built on undercut and
 certainty preference: subbase arguments against stable extensions, the
 support of the unattacked class against the common core of all
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, check_cap, supp_of
 from .formulas import Formula, _table_for, render
@@ -38,55 +41,44 @@ class Subbase:
         return tuple(kb.resolve(r) for r in self.refs)
 
 
-def consistent_subsets(masks: Sequence[int], base: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every subset of masks satisfiable together with base, with its model mask.
-
-    Yields (ascending index tuple, model mask) pairs depth first, in
-    lexicographic order of the tuples. A subset grows only by indices
-    above its highest member, and a branch ends at the first zero mask,
-    since a superset of an unsatisfiable subset stays unsatisfiable.
-    Nothing but the pending branches is kept.
-    """
-    if not base:
-        return
-    pending = [((), base)]
-    while pending:
-        combo, model = pending.pop()
-        yield combo, model
-        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
-            if model & masks[i]:
-                pending.append((combo + (i,), model & masks[i]))
-
-
 def _subbase_lists(kb: StratifiedKB, cap: int) -> tuple[list[Subbase], list[Subbase]]:
     """The maximal consistent subsets, and the preferred subbases among them.
 
-    One consistent-subset walk keeps each subset no further belief can
-    join, and the stratum-by-stratum test runs on those alone. The walk
-    yields subsets in ascending order, so both lists come out sorted.
+    Every consistent subset lies inside the beliefs one model of the core
+    satisfies (its signature), so the maximal consistent subsets are the
+    maximal signatures. One depth-first walk splits the core's models
+    belief by belief: a node at belief i holds combo, the beliefs below i
+    it keeps, own, the core models whose signature below i is exactly
+    combo, and conj, the models of the core and combo. conj also holds
+    every model whose signature strictly extends combo, so a finished node
+    is maximal iff own == conj, and preferred iff that held as well at the
+    end of every stratum (Brewka 1989). Only nonempty own sets are walked,
+    one per distinct signature prefix. The branch keeping belief i is
+    walked first, which lists any antichain in ascending order, so both
+    lists come out sorted.
     """
     refs = kb.belief_refs()
     check_cap(refs, "beliefs", cap)
     table = _table_for(itertools.chain(kb.core, *kb.strata))
     core_mask = table.conjunction_mask(kb.core)
     masks = [table.mask(kb.resolve(r)) for r in refs]
-    spans = [list(g) for _, g in itertools.groupby(range(len(refs)), lambda i: refs[i].stratum)]
+    n = len(refs)
+    closes = [i + 1 == n or refs[i + 1].stratum != refs[i].stratum for i in range(n)]
     maximal, preferred = [], []
-    for combo, model in consistent_subsets(masks, core_mask):
-        chosen = set(combo)
-        if any(model & m for i, m in enumerate(masks) if i not in chosen):
+    pending = [(0, (), core_mask, core_mask, True)] if core_mask else []
+    while pending:
+        i, combo, own, conj, ok = pending.pop()
+        if i == n:
+            if own == conj:
+                subbase = Subbase(tuple(refs[j] for j in combo))
+                maximal.append(subbase)
+                if ok:
+                    preferred.append(subbase)
             continue
-        subbase = Subbase(tuple(refs[i] for i in combo))
-        maximal.append(subbase)
-        prefix = core_mask
-        for span in spans:
-            for i in span:
-                if i in chosen:
-                    prefix &= masks[i]
-            if any(prefix & masks[i] for i in span if i not in chosen):
-                break
-        else:
-            preferred.append(subbase)
+        inc = own & masks[i]
+        for c, o, k in ((combo, own ^ inc, conj), (combo + (i,), inc, conj & masks[i])):
+            if o:
+                pending.append((i + 1, c, o, k, ok and (not closes[i] or o == k)))
     return maximal, preferred
 
 
@@ -95,7 +87,9 @@ def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
 
     They are the maximal consistent subsets that leave out no belief at
     stratum k consistent with the core and the beliefs they keep from
-    strata 1..k, so a call on its own pays the full maximal-consistent walk.
+    strata 1..k: the walk's maximal nodes on which own == conj held at
+    the end of every stratum. A call on its own pays for the walk that
+    finds both lists.
     """
     return _subbase_lists(kb, cap)[1]
 

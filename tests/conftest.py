@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from prefarg.kb import StratifiedKB
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -18,6 +20,14 @@ def fixtures_dir() -> Path:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def unchecked_kb(core: tuple, strata: tuple) -> StratifiedKB:
+    """A base built past validation, which refuses an inconsistent core."""
+    kb = object.__new__(StratifiedKB)
+    object.__setattr__(kb, "core", core)
+    object.__setattr__(kb, "strata", strata)
+    return kb
 
 
 # Verdict lines collected by the acceptance suite; printed after the run

@@ -4,9 +4,10 @@ Everything here favours clarity over speed: formulas are evaluated by
 structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
-under test, except the two walks at the end: supports_walk_oracle and
-scan_fixed_points keep the exhaustive subset walk and extension scan the
-package ran before its pruned ones, as references for them.
+under test, except the walks at the end: supports_walk_oracle,
+subbase_walk_oracle and scan_fixed_points keep the exhaustive subset
+walks and extension scan the package ran before its pruned ones, as
+references for them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from prefarg import semantics
-from prefarg.coherence import consistent_subsets
+from prefarg.coherence import Subbase
 from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, _table_for, atoms
 from prefarg.kb import StratifiedKB
 
@@ -208,6 +209,25 @@ def closure_oracle(pairs, ids) -> set[tuple[str, str]]:
 # They run on the package's own bitmask operators, which the oracles
 # above check on their own, so they pin down the output and its order.
 
+def consistent_subsets(masks, base: int):
+    """Every subset of masks satisfiable together with base, with its model mask.
+
+    Yields (ascending index tuple, model mask) pairs depth first, in
+    lexicographic order of the tuples. A subset grows only by indices
+    above its highest member, and a branch ends at the first zero mask,
+    since a superset of an unsatisfiable subset stays unsatisfiable.
+    """
+    if not base:
+        return
+    pending = [((), base)]
+    while pending:
+        combo, model = pending.pop()
+        yield combo, model
+        for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
+            if model & masks[i]:
+                pending.append((combo + (i,), model & masks[i]))
+
+
 def supports_walk_oracle(kb: StratifiedKB, conclusions) -> list[list[tuple]]:
     """The minimal supports of each conclusion, from every consistent subset.
 
@@ -243,6 +263,39 @@ def supports_walk_oracle(kb: StratifiedKB, conclusions) -> list[list[tuple]]:
     for supports in found:
         supports.sort(key=lambda s: (len(s), s))
     return found
+
+
+def subbase_walk_oracle(kb: StratifiedKB) -> tuple[list[Subbase], list[Subbase]]:
+    """The maximal consistent subsets and the preferred subbases, from every consistent subset.
+
+    Keeps each consistent subset no further belief can join, then keeps
+    it as preferred when no belief it leaves out at stratum k is
+    consistent with the core and the beliefs it keeps from strata 1..k,
+    testing one stratum prefix at a time. Both lists are in ascending
+    order of index tuples.
+    """
+    refs = kb.belief_refs()
+    table = _table_for(itertools.chain(kb.core, *kb.strata))
+    core_mask = table.conjunction_mask(kb.core)
+    masks = [table.mask(kb.resolve(r)) for r in refs]
+    spans = [list(g) for _, g in itertools.groupby(range(len(refs)), lambda i: refs[i].stratum)]
+    maximal, preferred = [], []
+    for combo, model in consistent_subsets(masks, core_mask):
+        chosen = set(combo)
+        if any(model & m for i, m in enumerate(masks) if i not in chosen):
+            continue
+        subbase = Subbase(tuple(refs[i] for i in combo))
+        maximal.append(subbase)
+        prefix = core_mask
+        for span in spans:
+            for i in span:
+                if i in chosen:
+                    prefix &= masks[i]
+            if any(prefix & masks[i] for i in span if i not in chosen):
+                break
+        else:
+            preferred.append(subbase)
+    return maximal, preferred
 
 
 def scan_fixed_points(fw, mode: str, step) -> list[frozenset]:

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import randgen
-from conftest import fixture_text
+from conftest import fixture_text, unchecked_kb
 from prefarg.arguments import (
     DEFAULT_CAP,
     Argument,
@@ -18,7 +18,7 @@ from prefarg.arguments import (
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
-from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
+from prefarg.kb import BeliefRef, parse_kb
 
 
 def example2():
@@ -108,14 +108,6 @@ class TestMinimalSupports:
             assert found == sorted(found, key=lambda s: (len(s), s))
 
 
-def _unchecked_kb(core: tuple, strata: tuple) -> StratifiedKB:
-    """A base built past validation, which refuses an inconsistent core."""
-    kb = object.__new__(StratifiedKB)
-    object.__setattr__(kb, "core", core)
-    object.__setattr__(kb, "strata", strata)
-    return kb
-
-
 # Bases where the walk skips a belief or a whole branch as redundant.
 PRUNED_BASES = {
     "equivalent-across-strata": (
@@ -125,7 +117,7 @@ PRUNED_BASES = {
     "tautology": (parse_kb("[stratum 1]\na | !a\nb\n[stratum 2]\n!b\n"), None),
     "core-entails-belief": (parse_kb("[core]\na\n[stratum 1]\na | b\n!b\nb -> !a\n"), None),
     "inconsistent-core": (
-        _unchecked_kb((Atom("a"), negate_canonical(Atom("a"))), ((Atom("a"), Atom("b")),)), Atom("a")
+        unchecked_kb((Atom("a"), negate_canonical(Atom("a"))), ((Atom("a"), Atom("b")),)), Atom("a")
     ),
     "foreign-query": (parse_kb("[stratum 1]\na\n!a | b\n[stratum 2]\n!b\n"), Atom("z")),
 }

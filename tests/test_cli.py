@@ -258,7 +258,7 @@ class TestCoherence:
         import prefarg.coherence as coherence_module
 
         calls = Counter()
-        for name in ("consistent_subsets", "_table_for"):
+        for name in ("_subbase_lists", "_table_for"):
             real = getattr(coherence_module, name)
             monkeypatch.setattr(
                 coherence_module, name,
@@ -268,7 +268,7 @@ class TestCoherence:
             calls.clear()
             code, _, _ = run(command, fx("example2.kb"), "--format", "json")
             assert code == 0
-            assert calls == Counter(consistent_subsets=1, _table_for=1), command
+            assert calls == Counter(_subbase_lists=1, _table_for=1), command
 
 
 class TestGraph:

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -6,9 +7,9 @@ import pytest
 
 import oracles
 import randgen
-from conftest import fixture_text
+from conftest import fixture_text, unchecked_kb
 from prefarg import coherence
-from prefarg.arguments import build_universe
+from prefarg.arguments import DEFAULT_CAP, build_universe
 from prefarg.coherence import (
     Subbase,
     arg_of,
@@ -20,7 +21,7 @@ from prefarg.coherence import (
     subbase_to_json,
 )
 from prefarg.errors import CapExceededError
-from prefarg.formulas import parse_formula, render
+from prefarg.formulas import Atom, negate_canonical, parse_formula, render
 from prefarg.framework import PreferenceRelation, build_framework
 from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
 from prefarg.semantics import stable_extensions
@@ -164,6 +165,59 @@ class TestAgainstOracles:
         kb, universe = randgen.random_kb(random.Random(seed + 300), max_universe=12)
         report = check_correspondence(universe)
         assert report.ok, [c for c in report.clauses if c.status == "fail"]
+
+
+def _pairs_over_five_strata() -> str:
+    """x_i two strata away from !x_i, wrapping, so either may rank higher."""
+    strata = {j: [] for j in range(1, 6)}
+    for i in range(8):
+        strata[i % 5 + 1].append(f"x{i}")
+        strata[(i + 2) % 5 + 1].append(f"!x{i}")
+    return "".join(f"[stratum {j}]\n" + "".join(f + "\n" for f in fs) for j, fs in strata.items())
+
+
+WALK_BASES = {
+    # 20 distinct beliefs all equivalent to a: 2^20 consistent subsets, two signatures
+    "equivalent-to-a": parse_kb(
+        "[stratum 1]\n" + "".join(f"a{' & a' * k}\n" for k in range(10))
+        + "[stratum 2]\n" + "".join(f"{'!!' * (k + 1)}a\n" for k in range(10))
+    ),
+    "pairs-over-five-strata": parse_kb(_pairs_over_five_strata()),
+    "empty-stratum-between": parse_kb("[stratum 1]\np\n[stratum 2]\n[stratum 3]\n!p\nq\n"),
+    "core-only": parse_kb("[core]\na\n"),
+    "no-core-no-strata": parse_kb(""),
+    "core-entails-belief": parse_kb("[core]\na & b\n[stratum 1]\na\n!b | c\n[stratum 2]\n!c\n"),
+    "core-contradicts-belief": parse_kb("[core]\na\n[stratum 1]\n!a\nb\n[stratum 2]\n!b | !a\n"),
+    "inconsistent-core": unchecked_kb(
+        (Atom("a"), negate_canonical(Atom("a"))), ((Atom("a"), Atom("b")),)
+    ),
+}
+
+
+class TestSubbaseWalk:
+    """The model-splitting walk against the consistent-subset walk it replaced."""
+
+    @pytest.mark.parametrize("case", [*range(400), *NAMED_BASES, *WALK_BASES])
+    def test_matches_subset_walk(self, case):
+        if isinstance(case, int):
+            kb, _ = randgen.random_kb(random.Random(case), max_universe=30)
+        elif case in WALK_BASES:
+            kb = WALK_BASES[case]
+        else:
+            kb = parse_kb(NAMED_BASES[case])
+        assert coherence._subbase_lists(kb, DEFAULT_CAP) == oracles.subbase_walk_oracle(kb)
+
+    def test_inconsistent_core_has_no_subbases(self):
+        assert coherence._subbase_lists(WALK_BASES["inconsistent-core"], DEFAULT_CAP) == ([], [])
+
+    @pytest.mark.parametrize("select", [max_consistent_subbases, incl_subbases])
+    def test_equivalent_beliefs_are_one_subbase(self, select):
+        kb = WALK_BASES["equivalent-to-a"]
+        start = time.perf_counter()
+        (only,) = select(kb)
+        elapsed = time.perf_counter() - start
+        assert only.refs == kb.belief_refs()
+        assert elapsed < 0.25
 
 
 def _flattened(kb):

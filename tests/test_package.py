@@ -56,6 +56,7 @@ def test_all_names_resolve_once():
     (coherence, "_maximal_subbases"),
     (cli, "_reject_dot"),
     (arguments, "consistent_subsets"),
+    (coherence, "consistent_subsets"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
