@@ -18,11 +18,25 @@ Any other flag is a usage error.
 Input kind is inferred from the file suffix (.kb or .af) unless --kind
 says otherwise. Abstract framework files carry their own defeat and
 preference relations, so --defeat, --pref and --query are rejected for
-them. --cap must be at least 0. An input file that is not valid UTF-8
-is a parse error, and so is a formula, in a .kb line or in --query,
-nested more than 100 levels deep. Exit codes: 0 success, 1 usage or
-parse error, 2 enumeration cap exceeded (check refuses either kind of
-input above --cap arguments), 3 invariant failure from check.
+them. main applies the input rules in this order; the first one broken
+decides the exit code and the message:
+
+ 1. --cap is at least 0;
+ 2. --format dot is only for graph, and 3. graph takes no --format json;
+ 4. the input kind comes from --kind or the suffix, before any read;
+ 5. the file is read (a missing, unreadable or non-UTF-8 file is exit 1);
+ 6. a .kb is parsed; an .af first rejects --defeat, --pref and --query;
+ 7. arguments, accept and coherence need a knowledge base;
+ 8. accept needs --query;
+ 9. --query is parsed;
+10. a .kb's universe is built: more beliefs than --cap, or more than 24
+    distinct atoms, exits 2 with one "prefarg: error:" line;
+11. check refuses input of either kind above --cap arguments (exit 2);
+12. the framework is built for extensions, accept, graph and check.
+
+A formula, in a .kb line or in --query, nested more than 100 levels deep
+is a parse error. Exit codes: 0 success, 1 usage or parse error, 2
+enumeration cap exceeded, 3 invariant failure from check.
 """
 
 from __future__ import annotations
@@ -33,12 +47,12 @@ import json
 import sys
 from pathlib import Path
 
-from .arguments import DEFAULT_CAP, ArgumentUniverse, build_universe, check_cap, universe_to_json
+from .arguments import DEFAULT_CAP, build_universe, check_cap, universe_to_json
 from .coherence import check_correspondence, correspondence_to_json, ref_to_json, subbase_to_json
-from .errors import AFFormatError, CapExceededError, FormulaSyntaxError, KBFormatError
+from .errors import CapExceededError, PrefArgError
 from .formulas import parse_formula, render
-from .framework import Framework, PreferenceRelation, build_framework, parse_abstract_framework
-from .kb import StratifiedKB, parse_kb
+from .framework import PreferenceRelation, build_framework, parse_abstract_framework
+from .kb import parse_kb
 from .semantics import evaluate, report_to_json, self_check
 
 
@@ -94,42 +108,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> tuple[StratifiedKB | None, Framework | None]:
-    """Parse the input file into a knowledge base or an abstract framework."""
-    kind = args.kind
-    if kind is None:
-        suffix = Path(args.input).suffix
-        if suffix == ".kb":
-            kind = "kb"
-        elif suffix == ".af":
-            kind = "af"
-        else:
-            raise SystemExit(_usage(args, f"cannot infer input kind from {suffix!r}, pass --kind"))
-    text = Path(args.input).read_text(encoding="utf-8")
-    if kind == "kb":
-        return parse_kb(text), None
-    for flag in ("defeat", "pref", "query"):
-        if getattr(args, flag, None) is not None:
-            raise SystemExit(_usage(args, f"--{flag} does not apply to abstract framework input"))
-    return None, parse_abstract_framework(text)
-
-
 def _usage(args, message: str) -> int:
     sys.stderr.write(f"prefarg {args.command}: error: {message}\n")
     return 1
-
-
-def _query_formula(args):
-    if args.query is None:
-        return None
-    return parse_formula(args.query)
-
-
-def _kb_framework(args, kb: StratifiedKB) -> tuple[ArgumentUniverse, Framework]:
-    universe = build_universe(kb, _query_formula(args), args.cap)
-    defeat = args.defeat or "undercut"
-    pref = PreferenceRelation.none() if args.pref == "none" else None
-    return universe, build_framework(universe, defeat, pref)
 
 
 def _emit(text: str) -> None:
@@ -146,8 +127,7 @@ def _ids(ids) -> str:
     return "{" + ", ".join(ids) + "}"
 
 
-def cmd_arguments(args, kb, fw) -> int:
-    universe = build_universe(kb, _query_formula(args), args.cap)
+def cmd_arguments(args, universe, fw) -> int:
     if args.fmt == "json":
         _emit(_dumps(universe_to_json(universe)))
     else:
@@ -186,9 +166,7 @@ def _extension_text(args, report) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def cmd_extensions(args, kb, fw) -> int:
-    if fw is None:
-        _, fw = _kb_framework(args, kb)
+def cmd_extensions(args, universe, fw) -> int:
     report = evaluate(fw, args.mode, args.cap)
     if args.fmt == "json":
         _emit(_dumps(_extension_payload(args, report)))
@@ -197,10 +175,7 @@ def cmd_extensions(args, kb, fw) -> int:
     return 0
 
 
-def cmd_accept(args, kb, fw) -> int:
-    if args.query is None:
-        return _usage(args, "the accept subcommand needs --query")
-    universe, fw = _kb_framework(args, kb)
+def cmd_accept(args, universe, fw) -> int:
     query = universe.query
     report = evaluate(fw, args.mode, args.cap)
     grounded = set(report.grounded)
@@ -247,8 +222,8 @@ def cmd_accept(args, kb, fw) -> int:
     return 0
 
 
-def cmd_coherence(args, kb, fw) -> int:
-    universe = build_universe(kb, _query_formula(args), args.cap)
+def cmd_coherence(args, universe, fw) -> int:
+    kb = universe.kb
     report = check_correspondence(universe, args.cap)
     common = sorted(report.intersection)
     if args.fmt == "json":
@@ -273,9 +248,7 @@ def cmd_coherence(args, kb, fw) -> int:
     return 0
 
 
-def cmd_graph(args, kb, fw) -> int:
-    if fw is None:
-        _, fw = _kb_framework(args, kb)
+def cmd_graph(args, universe, fw) -> int:
     attacks = set(fw.attacks)
     lines = ["digraph framework {", "  rankdir=LR;"]
     for a in fw.arguments:
@@ -289,18 +262,10 @@ def cmd_graph(args, kb, fw) -> int:
     return 0
 
 
-def cmd_check(args, kb, fw) -> int:
-    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
-
-    Input of either kind with more arguments than the cap exits 2 before
-    the invariant suite spends any time on it.
-    """
-    universe = None
-    if fw is None:
-        universe, fw = _kb_framework(args, kb)
-    check_cap(fw.arguments, "arguments", args.cap)
+def cmd_check(args, universe, fw) -> int:
+    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law."""
     clauses = None if universe is None else check_correspondence(universe, args.cap)
-    report = self_check(fw, args.cap)
+    report = self_check(fw)
     ok = report.ok and (clauses is None or clauses.ok)
     if args.fmt == "json":
         payload = {
@@ -347,7 +312,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Check the input rules in order (--cap, --format, the file, its kind), then run."""
+    """Apply the input rules in order, build what the command reads, then run it.
+
+    This is the one place that turns an input into objects: the file is
+    parsed here, a .kb's universe is built once, and the framework once
+    for the commands that read one. Each cmd_* only computes and prints.
+    """
     args = _build_parser().parse_args(argv)
     if args.cap < 0:
         return _usage(args, f"--cap must be at least 0, got {args.cap}")
@@ -355,22 +325,38 @@ def main(argv: list[str] | None = None) -> int:
         return _usage(args, "--format dot only applies to the graph subcommand")
     if args.fmt == "json" and args.command == "graph":
         return _usage(args, "the graph subcommand writes DOT, use --format dot")
+    suffix = Path(args.input).suffix
+    kind = args.kind or {".kb": "kb", ".af": "af"}.get(suffix)
+    if kind is None:
+        return _usage(args, f"cannot infer input kind from {suffix!r}, pass --kind")
+    universe = fw = None
     try:
-        kb, fw = _load(args)
-        if kb is None and args.command in ("arguments", "accept", "coherence"):
-            return _usage(args, f"the {args.command} subcommand needs a knowledge base")
-        return _COMMANDS[args.command](args, kb, fw)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    except (FormulaSyntaxError, KBFormatError, AFFormatError) as exc:
-        sys.stderr.write(f"prefarg: error: {exc}\n")
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"prefarg: error: {exc}\n")
-        return 1
+        text = Path(args.input).read_text(encoding="utf-8")
+        if kind == "af":
+            for flag in ("defeat", "pref", "query"):
+                if getattr(args, flag, None) is not None:
+                    return _usage(args, f"--{flag} does not apply to abstract framework input")
+            fw = parse_abstract_framework(text)
+            if args.command in ("arguments", "accept", "coherence"):
+                return _usage(args, f"the {args.command} subcommand needs a knowledge base")
+        else:
+            kb = parse_kb(text)
+            if args.command == "accept" and args.query is None:
+                return _usage(args, "the accept subcommand needs --query")
+            query = None if args.query is None else parse_formula(args.query)
+            universe = build_universe(kb, query, args.cap)
+        if args.command == "check":
+            check_cap((universe or fw).arguments, "arguments", args.cap)
+        if universe is not None and args.command in ("extensions", "accept", "graph", "check"):
+            pref = PreferenceRelation.none() if args.pref == "none" else None
+            fw = build_framework(universe, args.defeat or "undercut", pref)
+        return _COMMANDS[args.command](args, universe, fw)
     except CapExceededError as exc:
         sys.stderr.write(f"prefarg: error: {exc}\n")
         return 2
+    except (PrefArgError, OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"prefarg: error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -307,13 +307,16 @@ class TruthTable:
         self._cache: dict[Formula, int] = {}
 
     def _atom_mask(self, k: int) -> int:
-        # One period is 2**k zeros followed by 2**k ones; replicate it
-        # across the assignment space with a comb multiplier.
+        # One period is 2**k zeros followed by 2**k ones; doubling the
+        # pattern fills the assignment space in n - k - 1 shift-or steps,
+        # each linear in the mask's length.
         block = 1 << k
-        period = block << 1
-        ones = ((1 << block) - 1) << block
-        comb = ((1 << self.n_assignments) - 1) // ((1 << period) - 1)
-        return ones * comb
+        mask = ((1 << block) - 1) << block
+        width = block << 1
+        while width < self.n_assignments:
+            mask |= mask << width
+            width <<= 1
+        return mask
 
     def mask(self, f: Formula) -> int:
         cached = self._cache.get(f)

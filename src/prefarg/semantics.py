@@ -247,8 +247,8 @@ def complete_extensions(
 ) -> list[frozenset[str]]:
     """Conflict-free fixed points of f_step, ordered by size then position bitmask.
 
-    Found by a pruned search from the grounded extension rather than by
-    testing every subset; the cap still bounds the argument count.
+    Found by a pruned search from the grounded extension; the cap bounds
+    the argument count.
     """
     return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap)]
 
@@ -385,7 +385,7 @@ def _subset_pool(n: int) -> list[int]:
     return sorted(pool)
 
 
-def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
+def self_check(fw: Framework) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
     f_step, g_step and weak conflict-freeness are computed once for each
@@ -397,8 +397,8 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     subset's members again; subsets outside the pool that the laws
     reach get theirs the same way. The pool is every subset when the
     framework is small, and a seeded random sample above MAX_EXHAUSTIVE
-    arguments. Never raises: a framework above the cap only skips the
-    extension laws.
+    arguments. Never raises: extension laws run on the exhaustive pool
+    only.
 
     On the exhaustive pool, f_monotone and g_antimonotone compare each
     subset with itself minus one member (covering pairs), and
@@ -408,7 +408,7 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
     covering pair on its chain, and any subset of a conflict-free set is
     conflict-free. The sampled pool keeps four random sub-subsets per
     member for monotonicity. Extension laws need full enumeration and are
-    skipped above the cap or MAX_EXHAUSTIVE.
+    skipped above MAX_EXHAUSTIVE.
     """
     n = len(fw.arguments)
     full = (1 << n) - 1
@@ -548,8 +548,8 @@ def self_check(fw: Framework, cap: int = DEFAULT_CAP) -> SelfCheckReport:
            f"{fgf_f_fp_mismatch} at fixed points of f_step")
 
     # Extension laws need full enumeration.
-    if n <= cap and exhaustive:
-        complete = [_mask_of(fw, e) for e in complete_extensions(fw, "weak", cap)]
+    if exhaustive:
+        complete = [_mask_of(fw, e) for e in complete_extensions(fw, "weak", MAX_EXHAUSTIVE)]
         stable = [s for s in complete if g_of[s] == s]
         record("grounded_is_complete", grounded in complete)
         record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))

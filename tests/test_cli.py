@@ -59,6 +59,10 @@ digraph framework {
 """
 
 
+# seven beliefs, three routes to d against !d: 22 arguments
+WIDE_KB = "[stratum 1]\na\nb\nc\n[stratum 2]\na -> d\nb -> d\nc -> d\n!d\n"
+
+
 class TestExtensions:
     def test_text(self, run):
         code, out, err = run("extensions", fx("example1.af"))
@@ -180,6 +184,20 @@ class TestArguments:
         code, _, err = run("arguments", fx("example1.af"))
         assert code == 1
         assert "needs a knowledge base" in err
+
+    def test_widest_truth_table_answers_promptly(self, tmp_path):
+        # One belief over 24 atoms, the truth-table limit. Building the
+        # atom masks by dividing a 2^24-bit integer never finished.
+        target = tmp_path / "wide24.kb"
+        target.write_text(
+            "[stratum 1]\n" + " | ".join(f"x{i}" for i in range(24)) + "\n", encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "prefarg.cli", "arguments", str(target)],
+            capture_output=True, text=True, cwd=SRC, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.count("\n") == 1
 
 
 class TestAccept:
@@ -318,22 +336,18 @@ class TestCheck:
         assert data["correspondence"]["ok"] is True
 
     def test_over_cap_kb_is_refused_before_self_check(self, run, tmp_path, monkeypatch):
-        # seven beliefs, three routes to d against !d: 22 arguments
         target = tmp_path / "wide.kb"
-        target.write_text(
-            "[stratum 1]\na\nb\nc\n[stratum 2]\na -> d\nb -> d\nc -> d\n!d\n",
-            encoding="utf-8",
-        )
+        target.write_text(WIDE_KB, encoding="utf-8")
         calls = []
         real = cli.self_check
-        monkeypatch.setattr(cli, "self_check", lambda fw, cap: calls.append(cap) or real(fw, cap))
+        monkeypatch.setattr(cli, "self_check", lambda fw: calls.append(fw) or real(fw))
         for fmt in ("text", "json"):
             code, out, err = run("check", str(target), "--format", fmt)
             assert (code, out) == (2, "")
             assert err == "prefarg: error: 22 arguments exceed the enumeration cap of 20\n"
         assert calls == []
         code, _, _ = run("check", fx("example2.kb"))
-        assert (code, calls) == (0, [20])
+        assert (code, len(calls)) == (0, 1)
 
     def test_over_cap_af_is_refused_before_self_check(self, run, tmp_path, monkeypatch):
         names = [f"n{i}" for i in range(21)]
@@ -345,14 +359,14 @@ class TestCheck:
         )
         calls = []
         real = cli.self_check
-        monkeypatch.setattr(cli, "self_check", lambda fw, cap: calls.append(cap) or real(fw, cap))
+        monkeypatch.setattr(cli, "self_check", lambda fw: calls.append(fw) or real(fw))
         for fmt in ("text", "json"):
             code, out, err = run("check", str(target), "--format", fmt)
             assert (code, out) == (2, "")
             assert err == "prefarg: error: 21 arguments exceed the enumeration cap of 20\n"
         assert calls == []
         code, out, _ = run("check", str(target), "--cap", "21")
-        assert (code, calls) == (0, [21])
+        assert (code, len(calls)) == (0, 1)
         assert out.rstrip().endswith("self_check: ok")
 
     def test_failing_check_exits_3(self, run, monkeypatch):
@@ -364,7 +378,7 @@ class TestCheck:
             fgf_checked=0, fgf_mismatches=0,
             fgf_f_fixed_point_mismatches=0, fgf_g_fixed_point_mismatches=0,
         )
-        monkeypatch.setattr(cli_module, "self_check", lambda fw, cap: broken)
+        monkeypatch.setattr(cli_module, "self_check", lambda fw: broken)
         code, out, _ = run("check", fx("example1.af"))
         assert code == 3
         assert "self_check: FAILED" in out
@@ -526,13 +540,48 @@ class TestInputHandling:
            "prefarg graph: error: the graph subcommand writes DOT, use --format dot\n")
           for name in ("bad.af", "missing.af")],
         ("bad.af", ["arguments"], "prefarg: error: line 1: cannot parse fact near 'def(a'\n"),
+        ("bad.af", ["extensions", "--query", "b"],
+         "prefarg extensions: error: --query does not apply to abstract framework input\n"),
+        ("bad.kb", ["accept"], "prefarg: error: line 1: expected [stratum 1], got [stratum 2]\n"),
+        ("wide.kb", ["accept"], "prefarg accept: error: the accept subcommand needs --query\n"),
+        ("wide.kb", ["check", "--query", "a &"],
+         "prefarg: error: unexpected end of input (at offset 3)\n"),
     ])
     def test_input_rules_apply_in_order(self, run, tmp_path, name, argv, err):
-        # The format rules come before the file is read, and the parse
-        # before the check that the subcommand needs a knowledge base.
+        # The format rules come before the file is read; an .af's flag
+        # rule before its parse; the parse before the check that the
+        # subcommand needs a knowledge base, and before accept's need for
+        # --query; --query is parsed before the universe is built, and the
+        # universe before check refuses it (wide.kb has 22 arguments).
         (tmp_path / "bad.af").write_text("arg(a). def(a\n", encoding="utf-8")
+        (tmp_path / "bad.kb").write_text("[stratum 2]\np\n", encoding="utf-8")
+        (tmp_path / "wide.kb").write_text(WIDE_KB, encoding="utf-8")
         command, *flags = argv
         assert run(command, str(tmp_path / name), *flags) == (1, "", err)
+
+    @pytest.mark.parametrize("name,argv,expected", [
+        ("example2.kb", ["arguments"], (0, 1, 0)),
+        ("example2.kb", ["coherence"], (0, 1, 0)),
+        ("example2.kb", ["extensions"], (0, 1, 1)),
+        ("example2.kb", ["accept", "--query", "b"], (0, 1, 1)),
+        ("example2.kb", ["graph"], (0, 1, 1)),
+        ("example2.kb", ["check"], (0, 1, 1)),
+        ("wide.kb", ["check"], (2, 1, 0)),
+    ])
+    def test_each_layer_is_built_at_most_once(self, run, tmp_path, monkeypatch,
+                                              name, argv, expected):
+        # main builds the universe and the framework; check refuses an
+        # over-cap .kb before building the framework it would not read.
+        (tmp_path / "wide.kb").write_text(WIDE_KB, encoding="utf-8")
+        counts = Counter()
+        for layer in ("build_universe", "build_framework"):
+            real = getattr(cli, layer)
+            monkeypatch.setattr(cli, layer, lambda *a, real=real, layer=layer: (
+                counts.update([layer]) or real(*a)))
+        path = fx(name) if name.startswith("example") else str(tmp_path / name)
+        command, *flags = argv
+        code, _, _ = run(command, path, *flags)
+        assert (code, counts["build_universe"], counts["build_framework"]) == expected
 
 
 class TestDeterminism:

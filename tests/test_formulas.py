@@ -226,3 +226,16 @@ class TestTruthTable:
     def test_limit_boundary_is_fine(self):
         table = TruthTable([f"x{i}" for i in range(10)])
         assert table.n_assignments == 1024
+        table = TruthTable([f"x{i}" for i in range(24)])
+        assert table.n_assignments == 1 << 24
+        half = 1 << 23
+        assert all(table.mask(Atom(f"x{k}")).bit_count() == half for k in range(24))
+        assert table.mask(Atom("x23")) == ((1 << half) - 1) << half
+        assert table.mask(Atom("x0")) & 0b1111 == 0b1010
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_atom_masks_follow_assignment_bits(self, n):
+        table = TruthTable([f"x{k}" for k in range(n)])
+        for k in range(n):
+            mask = table.mask(Atom(f"x{k}"))
+            assert all((mask >> i & 1) == (i >> k & 1) for i in range(1 << n))

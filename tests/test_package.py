@@ -55,6 +55,9 @@ def test_all_names_resolve_once():
     (kb.StratifiedKB, "flatten"),
     (coherence, "_maximal_subbases"),
     (cli, "_reject_dot"),
+    (cli, "_load"),
+    (cli, "_query_formula"),
+    (cli, "_kb_framework"),
     (arguments, "consistent_subsets"),
     (coherence, "consistent_subsets"),
 ])
