@@ -23,12 +23,12 @@ the walk still reaches them all. It refuses to run past the cap
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Sized
 
 from .errors import CapExceededError
-from .formulas import Formula, _table_for, negate_canonical, render, unique_formulas
+from .formulas import Formula, TruthTable, _table_for, negate_canonical, render, unique_formulas
 from .kb import BeliefRef, StratifiedKB
 
 DEFAULT_CAP = 20
@@ -58,12 +58,14 @@ class Argument:
 
 @dataclass(frozen=True)
 class ArgumentUniverse:
-    """Every argument a knowledge base yields for the candidate pool."""
+    """Every argument a knowledge base yields for the candidate pool, and
+    the truth table its support walk built over the base and the pool."""
 
     kb: StratifiedKB
     query: Formula | None
     candidates: tuple[Formula, ...]
     arguments: tuple[Argument, ...]
+    table: TruthTable = field(compare=False, repr=False)
 
     @cached_property
     def _by_id(self) -> dict[str, Argument]:
@@ -96,8 +98,8 @@ def check_cap(items: Sized, noun: str, cap: int) -> None:
 
 def _supports_by_conclusion(
     kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
-) -> list[list[tuple[BeliefRef, ...]]]:
-    """The minimal supports of each conclusion, in the order given.
+) -> tuple[list[list[tuple[BeliefRef, ...]]], TruthTable]:
+    """The minimal supports of each conclusion, in the order given, and the walk's table.
 
     One walk serves every conclusion. A subset grows only by beliefs
     above its highest member, and only into irredundant subsets: each
@@ -123,10 +125,8 @@ def _supports_by_conclusion(
     masks = [table.mask(kb.resolve(r)) for r in refs]
     outside = [table.full ^ table.mask(c) for c in conclusions]
     found: list[list[tuple[BeliefRef, ...]]] = [[] for _ in conclusions]
-    if not core_mask:
-        return found
     # (subset, its model, each member's own models, conclusions the parent leaves open)
-    pending = [((), core_mask, [], range(len(conclusions)))]
+    pending = [((), core_mask, [], range(len(conclusions)))] if core_mask else []
     while pending:
         combo, model, own, parent_open = pending.pop()
         still = []
@@ -145,7 +145,7 @@ def _supports_by_conclusion(
                 pending.append((combo + (i,), child, child_own, still))
     for supports in found:
         supports.sort(key=lambda s: (len(s), s))
-    return found
+    return found, table
 
 
 def minimal_supports(
@@ -156,7 +156,8 @@ def minimal_supports(
     The empty support qualifies when the core alone entails the
     conclusion. Results are ordered by size, then by ref positions.
     """
-    return _supports_by_conclusion(kb, [conclusion], cap)[0]
+    found, _ = _supports_by_conclusion(kb, [conclusion], cap)
+    return found[0]
 
 
 def build_universe(
@@ -168,8 +169,9 @@ def build_universe(
     named A1, A2, ... so equal inputs always produce identical ids.
     """
     candidates = candidate_conclusions(kb, query)
+    found, table = _supports_by_conclusion(kb, candidates, cap)
     entries: list[tuple[int, tuple[BeliefRef, ...], str, Formula]] = []
-    for c, supports in zip(candidates, _supports_by_conclusion(kb, candidates, cap)):
+    for c, supports in zip(candidates, found):
         for support in supports:
             entries.append((kb.certainty_level(support), support, render(c), c))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
@@ -183,7 +185,7 @@ def build_universe(
         )
         for k, (level, support, _, c) in enumerate(entries, start=1)
     )
-    return ArgumentUniverse(kb, query, candidates, arguments)
+    return ArgumentUniverse(kb, query, candidates, arguments, table)
 
 
 def supp_of(arguments: Iterable[Argument]) -> frozenset[BeliefRef]:

@@ -211,7 +211,7 @@ def check_correspondence(
         outside,
     ))
 
-    flat_fw = Framework(universe.arguments, fw.defeats, PreferenceRelation.none(), "undercut")
+    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, PreferenceRelation.none(), "undercut")
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
     flat_expected = {frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
     mismatch = None

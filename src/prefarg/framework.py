@@ -17,9 +17,10 @@ The preorder is held as one bitmask per argument position: bit j of
 argument i's mask says i is at least as preferred as j. Certainty
 preference builds one mask per level, and an explicit relation is closed
 in one pass over the strongly connected components of its pairs, so the
-closure costs O(n + m) mask ORs. The attack filter is then one test per
-defeat: the defeat of A by B is dropped iff B is in A's mask and A is
-not in B's.
+closure costs O(n + m) mask ORs. Defeats are held the same way, one
+target mask per argument, from the builders to the semantics. The attack
+filter is one test per defeat: the defeat of A by B is dropped iff B is
+in A's mask and A is not in B's.
 
 Abstract frameworks can also be read from fact files:
 
@@ -40,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
 from .errors import AFFormatError
-from .formulas import _table_for
 
 DEFEAT_KINDS = ("rebut", "undercut", "abstract")
 
@@ -192,19 +192,18 @@ class PreferenceRelation:
 
 
 class Framework:
-    """Argument list, defeat edges, a preference, and the derived attacks.
+    """Argument list, defeat target masks, a preference, and the derived attacks.
 
-    Attack edges are fixed at construction per the rule above, read off
-    the preference masks: a defeat of a by b is dropped iff b is in a's
-    mask and a is not in b's. Edge sequences are sorted by argument
-    position, and per-argument preference, attacker and target bitmasks
-    are kept for the semantics layer. Instances are immutable in use.
+    Bit j of defeat_targets[i] says argument i defeats argument j. The
+    attack and defeater masks follow at construction, by the rule above.
+    `defeats` and `attacks` read the edges back as id pairs in position
+    order on each access. Instances are immutable in use.
     """
 
     def __init__(
         self,
         arguments: Iterable[Argument],
-        defeats: Iterable[tuple[str, str]],
+        defeat_targets: Iterable[int],
         preference: PreferenceRelation,
         defeat_kind: str,
     ):
@@ -213,37 +212,38 @@ class Framework:
         self.arguments = tuple(arguments)
         self.preference = preference
         self.defeat_kind = defeat_kind
-        self._position = pos = {a.id: i for i, a in enumerate(self.arguments)}
-        if len(pos) != len(self.arguments):
+        self.ids = tuple(a.id for a in self.arguments)
+        self._position = {x: i for i, x in enumerate(self.ids)}
+        if len(self._position) != len(self.ids):
             raise ValueError("duplicate argument id")
-        edges = set()
-        for x, y in defeats:
-            if x not in pos or y not in pos:
-                raise ValueError(f"defeat edge ({x}, {y}) names an unknown argument")
-            edges.add((pos[x], pos[y]))
-        edges = sorted(edges)
+        n = len(self.ids)
+        self.defeat_targets_mask = targets = list(defeat_targets)
+        if len(targets) != n or any(m < 0 or m >> n for m in targets):
+            raise ValueError(f"need one defeat-target mask over {n} positions per argument")
         # preference_mask[i] has bit j iff argument i is at least as preferred as j.
         self.preference_mask = pref = preference.position_masks(self.arguments)
-        # The defeat of j by i is dropped iff j is strictly preferred to i.
-        kept = [(i, j) for i, j in edges if not (pref[j] >> i & 1 and not pref[i] >> j & 1)]
-        ids = self.ids
-        self.defeats = tuple((ids[i], ids[j]) for i, j in edges)
-        self.attacks = tuple((ids[i], ids[j]) for i, j in kept)
-        n = len(self.arguments)
         self.defeaters_mask = [0] * n
-        self.defeat_targets_mask = [0] * n
-        for i, j in edges:
-            self.defeat_targets_mask[i] |= 1 << j
-            self.defeaters_mask[j] |= 1 << i
         self.attackers_mask = [0] * n
         self.attack_targets_mask = [0] * n
-        for i, j in kept:
-            self.attack_targets_mask[i] |= 1 << j
-            self.attackers_mask[j] |= 1 << i
+        for i, m in enumerate(targets):
+            for j in _bits(m):
+                self.defeaters_mask[j] |= 1 << i
+                # The defeat of j by i is dropped iff j is strictly preferred to i.
+                if not (pref[j] >> i & 1 and not pref[i] >> j & 1):
+                    self.attack_targets_mask[i] |= 1 << j
+                    self.attackers_mask[j] |= 1 << i
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arguments)
+    def defeats(self) -> tuple[tuple[str, str], ...]:
+        return self._pairs(self.defeat_targets_mask)
+
+    @property
+    def attacks(self) -> tuple[tuple[str, str], ...]:
+        return self._pairs(self.attack_targets_mask)
+
+    def _pairs(self, targets: Sequence[int]) -> tuple[tuple[str, str], ...]:
+        ids = self.ids
+        return tuple((ids[i], ids[j]) for i, m in enumerate(targets) for j in _bits(m))
 
     def argument(self, arg_id: str) -> Argument:
         return self.arguments[self.position(arg_id)]
@@ -266,22 +266,24 @@ def build_framework(
     truth mask of the negation of every formula it can be defeated
     through: its conclusion under rebut, each support member under
     undercut. An argument's targets are then the arguments keyed by its
-    own conclusion mask. Masks share one table over the candidate
-    conclusions, which include every conclusion and support member, so
-    two masks are equal exactly when their formulas are equivalent.
+    own conclusion mask. Masks come from the universe's own table, the
+    one its support walk built over the base and the candidate
+    conclusions, so two masks are equal exactly when their formulas are
+    equivalent.
     """
     if defeat not in ("rebut", "undercut"):
         raise ValueError(f"defeat must be 'rebut' or 'undercut', got {defeat!r}")
     if preference is None:
         preference = PreferenceRelation.by_certainty()
     args = universe.arguments
-    table = _table_for(universe.candidates)
-    defeated_through: dict[int, list[str]] = {}
-    for b in args:
+    table = universe.table
+    through: dict[int, int] = {}
+    for k, b in enumerate(args):
         for f in (b.conclusion,) if defeat == "rebut" else b.support_formulas:
-            defeated_through.setdefault(table.full ^ table.mask(f), []).append(b.id)
-    edges = [(a.id, b) for a in args for b in defeated_through.get(table.mask(a.conclusion), ())]
-    return Framework(args, edges, preference, defeat)
+            key = table.full ^ table.mask(f)
+            through[key] = through.get(key, 0) | 1 << k
+    targets = [through.get(table.mask(a.conclusion), 0) for a in args]
+    return Framework(args, targets, preference, defeat)
 
 
 _FACT_RE = re.compile(
@@ -291,8 +293,7 @@ _FACT_RE = re.compile(
 
 def parse_abstract_framework(text: str) -> Framework:
     """Read `arg`, `def` and `pref` facts into a framework of abstract arguments."""
-    names: list[str] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     defs: list[tuple[str, str]] = []
     prefs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -307,20 +308,21 @@ def parse_abstract_framework(text: str) -> Framework:
             if kind == "arg":
                 if y is not None:
                     raise AFFormatError(f"line {lineno}: arg() takes one name")
-                if x in seen:
+                if x in index:
                     raise AFFormatError(f"line {lineno}: duplicate argument {x!r}")
-                seen.add(x)
-                names.append(x)
+                index[x] = len(index)
             else:
                 if y is None:
                     raise AFFormatError(f"line {lineno}: {kind}() takes two names")
                 (defs if kind == "def" else prefs).append((x, y))
             pos = match.end()
     for x, y in defs + prefs:
-        if x not in seen or y not in seen:
-            raise AFFormatError(f"fact names undeclared argument {x if x not in seen else y!r}")
+        if x not in index or y not in index:
+            raise AFFormatError(f"fact names undeclared argument {x if x not in index else y!r}")
+    targets = [0] * len(index)
+    for x, y in defs:
+        targets[index[x]] |= 1 << index[y]
     preference = (
-        PreferenceRelation.explicit(prefs, names) if prefs else PreferenceRelation.none()
+        PreferenceRelation.explicit(prefs, index) if prefs else PreferenceRelation.none()
     )
-    return Framework(tuple(Argument(id=n) for n in names), defs, preference, "abstract")
-
+    return Framework(tuple(Argument(id=n) for n in index), targets, preference, "abstract")

@@ -130,7 +130,7 @@ class TestSupportWalk:
     def test_matches_full_walk_on_random_bases(self, seed):
         base, universe = randgen.random_kb(random.Random(seed))
         pool = candidate_conclusions(base, universe.query)
-        assert _supports_by_conclusion(base, pool, DEFAULT_CAP) == (
+        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
             oracles.supports_walk_oracle(base, pool)
         )
 
@@ -138,7 +138,7 @@ class TestSupportWalk:
     def test_matches_full_walk_where_pruning_fires(self, case):
         base, query = PRUNED_BASES[case]
         pool = candidate_conclusions(base, query)
-        assert _supports_by_conclusion(base, pool, DEFAULT_CAP) == (
+        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
             oracles.supports_walk_oracle(base, pool)
         )
 

@@ -6,6 +6,7 @@ import oracles
 import randgen
 from conftest import fixture_text
 from oracles import rebuts, undercuts
+from prefarg import formulas
 from prefarg.arguments import Argument, build_universe
 from prefarg.errors import AFFormatError
 from prefarg.formulas import parse_formula
@@ -29,6 +30,15 @@ def supported(concl_text, support_texts, level=None, ident="X"):
         conclusion=parse_formula(concl_text),
         level=level,
     )
+
+
+def assert_round_trips(fw):
+    """Rebuilding from the defeat-target masks gives the same edges and masks."""
+    again = Framework(fw.arguments, fw.defeat_targets_mask, fw.preference, fw.defeat_kind)
+    assert again.defeats == fw.defeats
+    assert again.attacks == fw.attacks
+    for name in ("defeat_targets_mask", "defeaters_mask", "attack_targets_mask", "attackers_mask"):
+        assert getattr(again, name) == getattr(fw, name), name
 
 
 class TestPreferenceRelation:
@@ -99,7 +109,7 @@ class TestPreferenceRelation:
     def test_explicit_relation_needs_its_own_ids(self):
         pref = PreferenceRelation.explicit([("A", "B")], ["A", "B"])
         with pytest.raises(ValueError):
-            Framework([Argument(id="B"), Argument(id="A")], [], pref, "abstract")
+            Framework([Argument(id="B"), Argument(id="A")], [0, 0], pref, "abstract")
 
 
 def random_preference_graph(rng, n):
@@ -203,6 +213,18 @@ class TestBuildFramework:
         fw = build_framework(universe, "undercut", PreferenceRelation.none())
         assert fw.attacks == fw.defeats
 
+    @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
+    def test_reads_the_universe_table(self, defeat, monkeypatch):
+        universe = build_universe(parse_kb(fixture_text("example2.kb")))
+        built = []
+        real_init = formulas.TruthTable.__init__
+        monkeypatch.setattr(
+            formulas.TruthTable, "__init__",
+            lambda self, *a: built.append(1) or real_init(self, *a),
+        )
+        build_framework(universe, defeat)
+        assert built == []
+
     def test_unknown_defeat_kind(self):
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
         with pytest.raises(ValueError):
@@ -237,6 +259,7 @@ class TestBuildFramework:
         assert sorted(fw.attacks) == sorted(
             oracles.derive_attacks_oracle(fw.defeats, stricter)
         )
+        assert_round_trips(fw)
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
@@ -268,12 +291,14 @@ class TestFrameworkClass:
     def test_duplicate_ids_rejected(self):
         args = (Argument(id="X"), Argument(id="X"))
         with pytest.raises(ValueError):
-            Framework(args, [], PreferenceRelation.none(), "abstract")
+            Framework(args, [0, 0], PreferenceRelation.none(), "abstract")
 
-    def test_unknown_edge_endpoint_rejected(self):
-        args = (Argument(id="X"),)
+    @pytest.mark.parametrize("targets", [[0b01], [0b01, 0b100], [-1, 0]],
+                             ids=["wrong-length", "bit-past-end", "negative"])
+    def test_malformed_defeat_masks_rejected(self, targets):
+        args = (Argument(id="X"), Argument(id="Y"))
         with pytest.raises(ValueError):
-            Framework(args, [("X", "Z")], PreferenceRelation.none(), "abstract")
+            Framework(args, targets, PreferenceRelation.none(), "abstract")
 
     def test_position_and_lookup(self):
         fw = parse_abstract_framework("arg(A). arg(B). def(A,B).")
@@ -339,6 +364,7 @@ class TestAbstractParsing:
         defeats = sorted(set(defs), key=lambda e: (ids.index(e[0]), ids.index(e[1])))
         assert list(fw.defeats) == defeats
         assert list(fw.attacks) == oracles.derive_attacks_oracle(defeats, strict)
+        assert_round_trips(fw)
 
     def test_deterministic(self):
         text = fixture_text("example4.af")

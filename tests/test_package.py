@@ -50,6 +50,7 @@ def test_all_names_resolve_once():
     (framework.PreferenceRelation, "_index"),
     (framework.Framework, "has_defeat"),
     (framework.Framework, "has_attack"),
+    (framework, "_table_for"),
     (coherence.Subbase, "slice_at"),
     (coherence.CorrespondenceReport, "clause"),
     (kb.StratifiedKB, "flatten"),

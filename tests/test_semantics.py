@@ -493,7 +493,7 @@ class TestSelfCheck:
         # Built directly, so the explicit relation skips its closure: A is
         # above B and B above C, but A's mask leaves out C.
         pref = PreferenceRelation("explicit", ("A", "B", "C"), (0b011, 0b110, 0b100))
-        fw = Framework([Argument(x) for x in "ABC"], [], pref, "abstract")
+        fw = Framework([Argument(x) for x in "ABC"], [0, 0, 0], pref, "abstract")
         status = {r.name: r.status for r in self_check(fw).results}
         assert status["preference_strict_part_transitive"] == "fail"
         assert status["preference_strict_part_asymmetric"] == "pass"
