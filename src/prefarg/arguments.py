@@ -16,8 +16,9 @@ others and the core can be dropped without changing the subset's models,
 and then the smaller subset entails whatever the larger one does. Every
 superset of a redundant subset is redundant too, so the walk never
 enters one, and every subset of an irredundant one is irredundant, so
-the walk still reaches them all. It refuses to run past the cap
-(default 20 beliefs).
+the walk still reaches them all. It starts, like coherence's subbase
+walk, from _belief_masks, which refuses to run past the cap (default 20
+beliefs) before it builds the truth table.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ def check_cap(items: Sized, noun: str, cap: int) -> None:
         raise CapExceededError(f"{len(items)} {noun} exceed the enumeration cap of {cap}")
 
 
+def _belief_masks(kb: StratifiedKB, extra: Iterable[Formula], cap: int):
+    """The start of both belief walks: the belief refs, a truth table over the core,
+    the strata and extra, the core's models and each belief's models. More beliefs
+    than cap are refused before the table is built."""
+    refs = kb.belief_refs()
+    check_cap(refs, "beliefs", cap)
+    table = _table_for(itertools.chain(kb.core, *kb.strata, extra))
+    return refs, table, table.conjunction_mask(kb.core), [table.mask(kb.resolve(r)) for r in refs]
+
+
 def _supports_by_conclusion(
     kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
 ) -> tuple[list[list[tuple[BeliefRef, ...]]], TruthTable]:
@@ -118,11 +129,7 @@ def _supports_by_conclusion(
     Dropping the last member gives the subset's parent in the walk, so
     only the conclusions its parent leaves open are tested.
     """
-    refs = kb.belief_refs()
-    check_cap(refs, "beliefs", cap)
-    table = _table_for(itertools.chain(kb.core, *kb.strata, conclusions))
-    core_mask = table.conjunction_mask(kb.core)
-    masks = [table.mask(kb.resolve(r)) for r in refs]
+    refs, table, core_mask, masks = _belief_masks(kb, conclusions, cap)
     outside = [table.full ^ table.mask(c) for c in conclusions]
     found: list[list[tuple[BeliefRef, ...]]] = [[] for _ in conclusions]
     # (subset, its model, each member's own models, conclusions the parent leaves open)

@@ -10,6 +10,10 @@ One verb per concept cluster:
     prefarg graph      base.kb --query "p"      DOT attack graph
     prefarg check      graph.af                 run the invariant suite
 
+extensions, accept, coherence and check each build one JSON-ready report,
+which --format json prints and --format text renders, reading nothing else.
+arguments prints Argument.describe() lines and graph prints DOT.
+
 Every subcommand takes --kind, --query, --format and --cap.
 extensions, accept, graph and check also take --defeat and --pref;
 extensions and accept take --mode; only extensions takes --semantics.
@@ -127,6 +131,14 @@ def _ids(ids) -> str:
     return "{" + ", ".join(ids) + "}"
 
 
+def _write(args, report: dict, view) -> None:
+    """Print a command's one report: as JSON, or as the text lines view(report) renders."""
+    if args.fmt == "json":
+        _emit(_dumps(report))
+    else:
+        _emit("".join(line + "\n" for line in view(report)))
+
+
 def cmd_arguments(args, universe, fw) -> int:
     if args.fmt == "json":
         _emit(_dumps(universe_to_json(universe)))
@@ -135,116 +147,99 @@ def cmd_arguments(args, universe, fw) -> int:
     return 0
 
 
-def _extension_payload(args, report) -> dict:
-    payload = report_to_json(report)
-    if args.semantics == "all":
-        return payload
-    keep = ["mode", "capped", "iterations", "class_r", "class_r_pref"]
-    keep += {
-        "grounded": ["grounded", "greatest_fixed_point"],
-        "complete": ["complete", "unique_complete"],
-        "stable": ["stable"],
-    }[args.semantics]
-    return {k: payload[k] for k in payload if k in keep}
+# the report keys each --semantics family keeps besides the classes
+_FAMILIES = {"grounded": ("grounded", "greatest_fixed_point"),
+             "complete": ("complete", "unique_complete"), "stable": ("stable",)}
 
 
-def _extension_text(args, report) -> str:
-    lines = [f"mode: {report.mode}", f"capped: {'yes' if report.capped else 'no'}"]
-    lines.append(f"class_r: {_ids(report.class_r)}")
-    lines.append(f"class_r_pref: {_ids(report.class_r_pref)}")
-    sel = args.semantics
-    if sel in ("grounded", "all"):
-        lines.append(f"grounded: {_ids(report.grounded)} ({report.iterations} iterations)")
-        lines.append(f"greatest_fixed_point: {_ids(report.greatest_fixed_point)}")
-    if sel in ("complete", "all"):
-        lines.append(f"complete ({len(report.complete)}):")
-        lines += [f"  {_ids(e)}" for e in report.complete]
-        lines.append(f"unique_complete: {'yes' if report.unique_complete else 'no'}")
-    if sel in ("stable", "all"):
-        lines.append(f"stable ({len(report.stable)}):")
-        lines += [f"  {_ids(e)}" for e in report.stable]
-    return "".join(line + "\n" for line in lines)
+def _extension_lines(report: dict) -> list[str]:
+    lines = [
+        f"mode: {report['mode']}", f"capped: {'yes' if report['capped'] else 'no'}",
+        f"class_r: {_ids(report['class_r'])}", f"class_r_pref: {_ids(report['class_r_pref'])}",
+    ]
+    if "grounded" in report:
+        lines.append(f"grounded: {_ids(report['grounded'])} ({report['iterations']} iterations)")
+        lines.append(f"greatest_fixed_point: {_ids(report['greatest_fixed_point'])}")
+    if "complete" in report:
+        lines.append(f"complete ({len(report['complete'])}):")
+        lines += [f"  {_ids(e)}" for e in report["complete"]]
+        lines.append(f"unique_complete: {'yes' if report['unique_complete'] else 'no'}")
+    if "stable" in report:
+        lines.append(f"stable ({len(report['stable'])}):")
+        lines += [f"  {_ids(e)}" for e in report["stable"]]
+    return lines
 
 
 def cmd_extensions(args, universe, fw) -> int:
-    report = evaluate(fw, args.mode, args.cap)
-    if args.fmt == "json":
-        _emit(_dumps(_extension_payload(args, report)))
-    else:
-        _emit(_extension_text(args, report))
+    report = report_to_json(evaluate(fw, args.mode, args.cap))
+    if args.semantics != "all":
+        keep = ("mode", "capped", "iterations", "class_r", "class_r_pref") + _FAMILIES[args.semantics]
+        report = {k: v for k, v in report.items() if k in keep}
+    _write(args, report, _extension_lines)
     return 0
 
 
+def _accept_lines(report: dict) -> list[str]:
+    lines = [f"query: {report['query']}"]
+    for r in report["arguments"]:
+        marks = ", ".join(
+            k.removeprefix("in_") for k in ("in_class_r", "in_class_r_pref", "in_grounded") if r[k]
+        ) or "none"
+        stable_note = f"{sum(r['in_stable'])}/{len(report['stable'])} stable"
+        lines.append(f"{r['argument']}  [{marks}; {stable_note}]")
+    if not report["arguments"]:
+        lines.append("no argument concludes the query")
+    lines.append(f"verdict: {'accepted' if report['accepted'] else 'not accepted'}")
+    return lines
+
+
 def cmd_accept(args, universe, fw) -> int:
-    query = universe.query
     report = evaluate(fw, args.mode, args.cap)
-    grounded = set(report.grounded)
-    stable = [set(e) for e in report.stable]
-    rows = []
-    for a in universe.arguments:
-        if a.conclusion != query:
-            continue
-        rows.append({
+    rows = [
+        {
             "id": a.id,
             "argument": a.describe(),
             "in_class_r": a.id in report.class_r,
             "in_class_r_pref": a.id in report.class_r_pref,
-            "in_grounded": a.id in grounded,
-            "in_stable": [a.id in e for e in stable],
-        })
-    accepted = any(r["in_grounded"] for r in rows)
-    credulous = None if report.capped else any(any(r["in_stable"]) for r in rows)
-    if args.fmt == "json":
-        _emit(_dumps({
-            "query": render(query),
-            "accepted": accepted,
-            "credulous_stable": credulous,
-            "capped": report.capped,
-            "arguments": rows,
-            "stable": [list(e) for e in report.stable],
-        }))
-    else:
-        lines = [f"query: {render(query)}"]
-        for r in rows:
-            marks = ", ".join(
-                name for name, hit in (
-                    ("class_r", r["in_class_r"]),
-                    ("class_r_pref", r["in_class_r_pref"]),
-                    ("grounded", r["in_grounded"]),
-                ) if hit
-            ) or "none"
-            stable_note = f"{sum(r['in_stable'])}/{len(stable)} stable"
-            lines.append(f"{r['argument']}  [{marks}; {stable_note}]")
-        if not rows:
-            lines.append("no argument concludes the query")
-        lines.append(f"verdict: {'accepted' if accepted else 'not accepted'}")
-        _emit("".join(line + "\n" for line in lines))
+            "in_grounded": a.id in report.grounded,
+            "in_stable": [a.id in e for e in report.stable],
+        }
+        for a in universe.arguments if a.conclusion == universe.query
+    ]
+    _write(args, {
+        "query": render(universe.query),
+        "accepted": any(r["in_grounded"] for r in rows),
+        "credulous_stable": None if report.capped else any(any(r["in_stable"]) for r in rows),
+        "capped": report.capped,
+        "arguments": rows,
+        "stable": [list(e) for e in report.stable],
+    }, _accept_lines)
     return 0
 
 
+def _clause_line(clause: dict) -> str:
+    return f"{clause['name']}: {clause['status']}  {clause['detail']}"
+
+
+def _coherence_lines(report: dict) -> list[str]:
+    lines = [f"subbases ({len(report['subbases'])}):"]
+    for sb in report["subbases"]:
+        lines.append("  {" + ", ".join(r["formula"] for r in sb) + "}")
+    lines.append("intersection: {" + ", ".join(r["formula"] for r in report["intersection"]) + "}")
+    for c in report["correspondence"]["clauses"]:
+        lines.append(_clause_line(c))
+        if c["counterexample"]:
+            lines.append(f"  counterexample: {json.dumps(c['counterexample'])}")
+    return lines
+
+
 def cmd_coherence(args, universe, fw) -> int:
-    kb = universe.kb
     report = check_correspondence(universe, args.cap)
-    common = sorted(report.intersection)
-    if args.fmt == "json":
-        _emit(_dumps({
-            "subbases": [subbase_to_json(kb, sb) for sb in report.subbases],
-            "intersection": [ref_to_json(kb, r) for r in common],
-            "correspondence": correspondence_to_json(report),
-        }))
-    else:
-        lines = [f"subbases ({len(report.subbases)}):"]
-        for sb in report.subbases:
-            lines.append("  {" + ", ".join(render(f) for f in sb.formulas(kb)) + "}")
-        lines.append(
-            "intersection: {"
-            + ", ".join(render(kb.resolve(r)) for r in common) + "}"
-        )
-        for c in report.clauses:
-            lines.append(f"{c.name}: {c.status}  {c.detail}")
-            if c.counterexample:
-                lines.append(f"  counterexample: {json.dumps(c.counterexample)}")
-        _emit("".join(line + "\n" for line in lines))
+    _write(args, {
+        "subbases": [subbase_to_json(universe.kb, sb) for sb in report.subbases],
+        "intersection": [ref_to_json(universe.kb, r) for r in sorted(report.intersection)],
+        "correspondence": correspondence_to_json(report),
+    }, _coherence_lines)
     return 0
 
 
@@ -262,43 +257,44 @@ def cmd_graph(args, universe, fw) -> int:
     return 0
 
 
+def _check_lines(report: dict) -> list[str]:
+    lines = [
+        f"{r['name']}: {r['status']}" + (f"  {r['detail']}" if r["detail"] else "")
+        for r in report["results"]
+    ]
+    fgf = report["fgf"]
+    lines.append(
+        f"interchange tally: {fgf['mismatches']}/{fgf['checked']} subsets, "
+        f"{fgf['f_fixed_point_mismatches']} at f_step fixed points, "
+        f"{fgf['g_fixed_point_mismatches']} at g_step fixed points"
+    )
+    if "correspondence" in report:
+        lines += [_clause_line(c) for c in report["correspondence"]["clauses"]]
+    lines.append("self_check: " + ("ok" if report["ok"] else "FAILED"))
+    return lines
+
+
 def cmd_check(args, universe, fw) -> int:
     """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law."""
     clauses = None if universe is None else check_correspondence(universe, args.cap)
-    report = self_check(fw)
-    ok = report.ok and (clauses is None or clauses.ok)
-    if args.fmt == "json":
-        payload = {
-            "ok": ok,
-            "results": [
-                {"name": r.name, "status": r.status, "detail": r.detail}
-                for r in report.results
-            ],
-            "fgf": {
-                "checked": report.fgf_checked,
-                "mismatches": report.fgf_mismatches,
-                "f_fixed_point_mismatches": report.fgf_f_fixed_point_mismatches,
-                "g_fixed_point_mismatches": report.fgf_g_fixed_point_mismatches,
-            },
-        }
-        if clauses is not None:
-            payload["correspondence"] = correspondence_to_json(clauses)
-        _emit(_dumps(payload))
-    else:
-        lines = []
-        for r in report.results:
-            lines.append(f"{r.name}: {r.status}" + (f"  {r.detail}" if r.detail else ""))
-        lines.append(
-            f"interchange tally: {report.fgf_mismatches}/{report.fgf_checked} subsets, "
-            f"{report.fgf_f_fixed_point_mismatches} at f_step fixed points, "
-            f"{report.fgf_g_fixed_point_mismatches} at g_step fixed points"
-        )
-        if clauses is not None:
-            for c in clauses.clauses:
-                lines.append(f"{c.name}: {c.status}  {c.detail}")
-        lines.append("self_check: " + ("ok" if ok else "FAILED"))
-        _emit("".join(line + "\n" for line in lines))
-    return 0 if ok else 3
+    checks = self_check(fw)
+    report = {
+        "ok": checks.ok and (clauses is None or clauses.ok),
+        "results": [
+            {"name": r.name, "status": r.status, "detail": r.detail}
+            for r in checks.results
+        ],
+        "fgf": {
+            "checked": checks.fgf_checked,
+            "mismatches": checks.fgf_mismatches,
+            "f_fixed_point_mismatches": checks.fgf_f_fixed_point_mismatches,
+            "g_fixed_point_mismatches": checks.fgf_g_fixed_point_mismatches,
+        },
+    }
+    if clauses is not None:
+        report["correspondence"] = correspondence_to_json(clauses)
+    _write(args, report, _check_lines)
+    return 0 if report["ok"] else 3
 
 
 _COMMANDS = {

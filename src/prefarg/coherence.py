@@ -4,7 +4,8 @@ A base with contradictions supports several coherent readings: the
 maximal consistent subsets, which ignore strata, and among them the
 preferred subbases, which leave out no belief at stratum k consistent
 with the core and the beliefs they keep from strata 1..k (Brewka 1989).
-Both come from one walk that splits the core's models belief by belief:
+Both come from one walk that splits the core's models belief by belief,
+starting from the support walk's front end (arguments._belief_masks):
 a finished node is maximal when no model of the beliefs it keeps
 satisfies one more, and preferred when that held as well at the end of
 every stratum. They live here, together with the cross-checks
@@ -20,12 +21,11 @@ without a preference.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, check_cap, supp_of
-from .formulas import Formula, _table_for, render
+from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, _belief_masks, supp_of
+from .formulas import Formula, render
 from .framework import Framework, PreferenceRelation, build_framework
 from .kb import BeliefRef, StratifiedKB
 from .semantics import class_cr_pref, grounded_extension, stable_extensions
@@ -57,11 +57,7 @@ def _subbase_lists(kb: StratifiedKB, cap: int) -> tuple[list[Subbase], list[Subb
     walked first, which lists any antichain in ascending order, so both
     lists come out sorted.
     """
-    refs = kb.belief_refs()
-    check_cap(refs, "beliefs", cap)
-    table = _table_for(itertools.chain(kb.core, *kb.strata))
-    core_mask = table.conjunction_mask(kb.core)
-    masks = [table.mask(kb.resolve(r)) for r in refs]
+    refs, _, core_mask, masks = _belief_masks(kb, (), cap)
     n = len(refs)
     closes = [i + 1 == n or refs[i + 1].stratum != refs[i].stratum for i in range(n)]
     maximal, preferred = [], []

@@ -10,6 +10,8 @@ import pytest
 from conftest import FIXTURES, SRC, fixture_text
 from prefarg import cli
 from prefarg.cli import main
+from prefarg.kb import render_kb
+from randgen import random_kb
 
 
 @pytest.fixture
@@ -273,20 +275,55 @@ class TestCoherence:
         assert "needs a knowledge base" in err
 
     def test_enumerates_subbases_once(self, run, monkeypatch):
+        import prefarg.arguments as arguments_module
         import prefarg.coherence as coherence_module
 
         calls = Counter()
-        for name in ("_subbase_lists", "_table_for"):
-            real = getattr(coherence_module, name)
+        for module, name in ((coherence_module, "_subbase_lists"),
+                             (coherence_module, "_belief_masks"),
+                             (arguments_module, "_belief_masks")):
+            real = getattr(module, name)
+            key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
             monkeypatch.setattr(
-                coherence_module, name,
-                lambda *a, _name=name, _real=real: calls.update([_name]) or _real(*a),
+                module, name, lambda *a, _key=key, _real=real: calls.update([_key]) or _real(*a),
             )
         for command in ("coherence", "check"):
             calls.clear()
             code, _, _ = run(command, fx("example2.kb"), "--format", "json")
             assert code == 0
-            assert calls == Counter(_subbase_lists=1, _table_for=1), command
+            # one subbase walk and one support walk, each from one front end call
+            assert calls == Counter({
+                "coherence._subbase_lists": 1,
+                "coherence._belief_masks": 1,
+                "arguments._belief_masks": 1,
+            }), command
+
+    def test_failing_clause_prints_its_counterexample(self, run, monkeypatch):
+        # Hiding one maximal consistent subbase fails the flat clause, as in
+        # test_coherence's test_counterexample_names_universe_ids.
+        import prefarg.coherence as coherence_module
+
+        real = coherence_module._subbase_lists
+
+        def without_second_maximal(kb, cap):
+            maximal, preferred = real(kb, cap)
+            return maximal[:1] + maximal[2:], preferred
+
+        monkeypatch.setattr(coherence_module, "_subbase_lists", without_second_maximal)
+        code, out, _ = run("coherence", fx("example2.kb"), "--format", "json")
+        assert code == 0
+        failed = [c for c in json.loads(out)["correspondence"]["clauses"] if c["status"] == "fail"]
+        assert [c["name"] for c in failed] == ["flat_stable_equals_max_consistent"]
+        clause = failed[0]
+        code, out, _ = run("coherence", fx("example2.kb"))
+        assert code == 0
+        assert (
+            f"{clause['name']}: fail  {clause['detail']}\n"
+            f"  counterexample: {json.dumps(clause['counterexample'])}\n"
+        ) in out
+        code, out, _ = run("check", fx("example2.kb"))
+        assert code == 3
+        assert out.endswith("self_check: FAILED\n")
 
 
 class TestGraph:
@@ -428,6 +465,61 @@ class TestCheckGolden:
             code, out, _ = run("check", path, "--format", "json")
             digest.update(f"{name} {code}\n{out}".encode())
         assert digest.hexdigest() == CHECK_JSON_DIGEST
+
+
+_SWEEP_FLAGS = [
+    [], ["--defeat", "rebut"], ["--pref", "none"], ["--mode", "strict"],
+    ["--semantics", "grounded"], ["--semantics", "complete"], ["--semantics", "stable"],
+    ["--semantics", "all"], ["--cap", "3"], ["--query", "{atom}"], ["--query", "zz"],
+]
+_SWEEP_FORMATS = [[], ["--format", "json"]]
+
+# sha256 of every subcommand under every flag set above, in text and
+# JSON, plus --format dot, over the inputs of test_every_output_digest:
+# any change to what any command prints, or to its exit code, moves it.
+SWEEP_DIGEST = "d533ba8f118cfad86fcf52e99477ba8d13c0476152d136ec2e6e010929ef62c0"
+
+
+class TestOutputGolden:
+    def test_every_output_digest(self, capsys, tmp_path):
+        inputs = [(fx(name), atom) for name, atom in (
+            ("example1.af", "a"), ("example1_pref.af", "a"), ("self_attack.af", "a"),
+            ("example4.af", "a"), ("example2.kb", "b"), ("example3.kb", "p"),
+        )]
+        files = {
+            "bad.kb": b"[stratum 2]\np\n",
+            "bad.af": b"arg(a). def(a\n",
+            "latin1.kb": "[stratum 1]\ncafé\n".encode("latin-1"),
+            "plain": b"[stratum 1]\na\n",
+            "core.kb": b"[core]\na -> b\n[stratum 1]\na\n!b\n[stratum 2]\nc\nc -> !a\n",
+            "wide.kb": WIDE_KB.encode(),
+        }
+        for seed in (1, 2, 5, 7, 11):
+            files[f"rand{seed}.kb"] = render_kb(random_kb(random.Random(seed))[0]).encode()
+        for n in (6, 9):
+            files[f"seeded{n}.af"] = _seeded_af(random.Random(n), n).encode()
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+            inputs.append((str(tmp_path / name), "a"))
+        inputs.append((str(tmp_path / "missing.kb"), "a"))
+        digest = hashlib.sha256()
+        for path, atom in inputs:
+            for command in ("arguments", "extensions", "accept", "coherence", "graph", "check"):
+                for flags in [f + fmt for f in _SWEEP_FLAGS for fmt in _SWEEP_FORMATS] + [
+                    ["--format", "dot"]
+                ]:
+                    argv = [command, path] + [f.format(atom=atom) for f in flags]
+                    try:
+                        code = main(argv)
+                        out, err = capsys.readouterr()
+                    except SystemExit as exc:
+                        # argparse's own usage text varies across Python versions
+                        code, (out, err) = exc.code, (capsys.readouterr().out, "usage\n")
+                    record = f"{argv}\n{code}\n{out}\n{err}\n"
+                    for prefix, token in ((str(tmp_path), "TMP"), (str(FIXTURES), "FIX")):
+                        record = record.replace(prefix, token)
+                    digest.update(record.encode())
+        assert digest.hexdigest() == SWEEP_DIGEST
 
 
 class TestInputHandling:

@@ -61,6 +61,8 @@ def test_all_names_resolve_once():
     (cli, "_kb_framework"),
     (arguments, "consistent_subsets"),
     (coherence, "consistent_subsets"),
+    (coherence, "_table_for"),
+    (coherence, "check_cap"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
