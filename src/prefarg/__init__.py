@@ -14,14 +14,12 @@ from .arguments import (
     candidate_conclusions,
     minimal_supports,
     supp_of,
-    universe_to_json,
 )
 from .coherence import (
     CorrespondenceReport,
     Subbase,
     arg_of,
     check_correspondence,
-    correspondence_to_json,
     incl_subbases,
     max_consistent_subbases,
 )
@@ -67,7 +65,6 @@ from .semantics import (
     g_step,
     greatest_fixed_point,
     grounded_extension,
-    report_to_json,
     self_check,
     stable_extensions,
 )
@@ -108,7 +105,6 @@ __all__ = [
     "class_cr_pref",
     "complete_extensions",
     "conflict_free",
-    "correspondence_to_json",
     "entails",
     "equivalent",
     "evaluate",
@@ -126,9 +122,7 @@ __all__ = [
     "parse_kb",
     "render",
     "render_kb",
-    "report_to_json",
     "self_check",
     "stable_extensions",
     "supp_of",
-    "universe_to_json",
 ]

@@ -203,16 +203,3 @@ def supp_of(arguments: Iterable[Argument]) -> frozenset[BeliefRef]:
             raise ValueError(f"abstract argument {a.id!r} has no support")
         out.update(a.support)
     return frozenset(out)
-
-
-def universe_to_json(universe: ArgumentUniverse) -> list[dict]:
-    """JSON-ready listing: one {id, support, conclusion, level} object per argument."""
-    return [
-        {
-            "id": a.id,
-            "support": [render(f) for f in a.support_formulas],
-            "conclusion": render(a.conclusion),
-            "level": a.level,
-        }
-        for a in universe.arguments
-    ]

@@ -10,9 +10,12 @@ One verb per concept cluster:
     prefarg graph      base.kb --query "p"      DOT attack graph
     prefarg check      graph.af                 run the invariant suite
 
-extensions, accept, coherence and check each build one JSON-ready report,
-which --format json prints and --format text renders, reading nothing else.
-arguments prints Argument.describe() lines and graph prints DOT.
+The library returns report objects; this module alone shapes them into
+JSON and text, passing through only the counterexample dicts of failing
+correspondence clauses. extensions, accept, coherence and check each
+build one JSON-ready report, which --format json prints and --format
+text renders, reading nothing else. arguments prints Argument.describe()
+lines (or the universe as JSON) and graph prints DOT.
 
 Every subcommand takes --kind, --query, --format and --cap.
 extensions, accept, graph and check also take --defeat and --pref;
@@ -51,13 +54,13 @@ import json
 import sys
 from pathlib import Path
 
-from .arguments import DEFAULT_CAP, build_universe, check_cap, universe_to_json
-from .coherence import check_correspondence, correspondence_to_json, ref_to_json, subbase_to_json
+from .arguments import DEFAULT_CAP, build_universe, check_cap
+from .coherence import check_correspondence
 from .errors import CapExceededError, PrefArgError
 from .formulas import parse_formula, render
 from .framework import PreferenceRelation, build_framework, parse_abstract_framework
 from .kb import parse_kb
-from .semantics import evaluate, report_to_json, self_check
+from .semantics import evaluate, self_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +144,15 @@ def _write(args, report: dict, view) -> None:
 
 def cmd_arguments(args, universe, fw) -> int:
     if args.fmt == "json":
-        _emit(_dumps(universe_to_json(universe)))
+        _emit(_dumps([
+            {
+                "id": a.id,
+                "support": [render(f) for f in a.support_formulas],
+                "conclusion": render(a.conclusion),
+                "level": a.level,
+            }
+            for a in universe.arguments
+        ]))
     else:
         _emit("".join(a.describe() + "\n" for a in universe.arguments))
     return 0
@@ -171,7 +182,19 @@ def _extension_lines(report: dict) -> list[str]:
 
 
 def cmd_extensions(args, universe, fw) -> int:
-    report = report_to_json(evaluate(fw, args.mode, args.cap))
+    ext = evaluate(fw, args.mode, args.cap)
+    report = {
+        "mode": ext.mode,
+        "capped": ext.capped,
+        "iterations": ext.iterations,
+        "unique_complete": ext.unique_complete,
+        "class_r": list(ext.class_r),
+        "class_r_pref": list(ext.class_r_pref),
+        "grounded": list(ext.grounded),
+        "greatest_fixed_point": list(ext.greatest_fixed_point),
+        "complete": [list(e) for e in ext.complete],
+        "stable": [list(e) for e in ext.stable],
+    }
     if args.semantics != "all":
         keep = ("mode", "capped", "iterations", "class_r", "class_r_pref") + _FAMILIES[args.semantics]
         report = {k: v for k, v in report.items() if k in keep}
@@ -217,6 +240,26 @@ def cmd_accept(args, universe, fw) -> int:
     return 0
 
 
+def _ref(kb, ref) -> dict:
+    return {"stratum": ref.stratum, "position": ref.position, "formula": render(kb.resolve(ref))}
+
+
+def _correspondence(report) -> dict:
+    """The correspondence block of coherence and check: the verdict and every clause."""
+    return {
+        "ok": report.ok,
+        "clauses": [
+            {
+                "name": c.name,
+                "status": c.status,
+                "detail": c.detail,
+                "counterexample": c.counterexample,
+            }
+            for c in report.clauses
+        ],
+    }
+
+
 def _clause_line(clause: dict) -> str:
     return f"{clause['name']}: {clause['status']}  {clause['detail']}"
 
@@ -236,9 +279,9 @@ def _coherence_lines(report: dict) -> list[str]:
 def cmd_coherence(args, universe, fw) -> int:
     report = check_correspondence(universe, args.cap)
     _write(args, {
-        "subbases": [subbase_to_json(universe.kb, sb) for sb in report.subbases],
-        "intersection": [ref_to_json(universe.kb, r) for r in sorted(report.intersection)],
-        "correspondence": correspondence_to_json(report),
+        "subbases": [[_ref(universe.kb, r) for r in sb.refs] for sb in report.subbases],
+        "intersection": [_ref(universe.kb, r) for r in sorted(report.intersection)],
+        "correspondence": _correspondence(report),
     }, _coherence_lines)
     return 0
 
@@ -292,7 +335,7 @@ def cmd_check(args, universe, fw) -> int:
         },
     }
     if clauses is not None:
-        report["correspondence"] = correspondence_to_json(clauses)
+        report["correspondence"] = _correspondence(clauses)
     _write(args, report, _check_lines)
     return 0 if report["ok"] else 3
 

@@ -156,20 +156,22 @@ def check_correspondence(
     A final informational clause shows the grounded extension's support
     next to the subbase intersection without asserting anything. The
     base is the universe's own, and one subbase walk serves both the
-    stratified clauses and the flat one.
+    stratified clauses and the flat one: each maximal subbase's argument
+    ids are gathered once, and the preferred subbases are among them.
     """
     kb = universe.kb
     clauses: list[ClauseResult] = []
 
     maximal, subbases = _subbase_lists(kb, cap)
     common = _common_refs(subbases)
+    ids_of = {sb: frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
 
     fw = build_framework(universe, defeat="undercut")
     stable = stable_extensions(fw, "weak", cap)
 
     bad = None
     for sb in subbases:
-        ids = frozenset(a.id for a in arg_of(universe, sb))
+        ids = ids_of[sb]
         if ids not in stable:
             bad = {
                 "subbase": [render(f) for f in sb.formulas(kb)],
@@ -209,7 +211,7 @@ def check_correspondence(
 
     flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, PreferenceRelation.none(), "undercut")
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
-    flat_expected = {frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
+    flat_expected = set(ids_of.values())
     mismatch = None
     if flat_stable != flat_expected:
         mismatch = {
@@ -234,31 +236,3 @@ def check_correspondence(
     ))
 
     return CorrespondenceReport(tuple(clauses), tuple(subbases), common)
-
-
-def ref_to_json(kb: StratifiedKB, ref: BeliefRef) -> dict:
-    return {
-        "stratum": ref.stratum,
-        "position": ref.position,
-        "formula": render(kb.resolve(ref)),
-    }
-
-
-def subbase_to_json(kb: StratifiedKB, subbase: Subbase) -> list[dict]:
-    return [ref_to_json(kb, r) for r in subbase.refs]
-
-
-def correspondence_to_json(report: CorrespondenceReport) -> dict:
-    """JSON-ready dict with a fixed key order."""
-    return {
-        "ok": report.ok,
-        "clauses": [
-            {
-                "name": c.name,
-                "status": c.status,
-                "detail": c.detail,
-                "counterexample": c.counterexample,
-            }
-            for c in report.clauses
-        ],
-    }

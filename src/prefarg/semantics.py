@@ -322,22 +322,6 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     )
 
 
-def report_to_json(report: ExtensionReport) -> dict:
-    """JSON-ready dict with a fixed key order."""
-    return {
-        "mode": report.mode,
-        "capped": report.capped,
-        "iterations": report.iterations,
-        "unique_complete": report.unique_complete,
-        "class_r": list(report.class_r),
-        "class_r_pref": list(report.class_r_pref),
-        "grounded": list(report.grounded),
-        "greatest_fixed_point": list(report.greatest_fixed_point),
-        "complete": [list(e) for e in report.complete],
-        "stable": [list(e) for e in report.stable],
-    }
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -14,7 +14,6 @@ from prefarg.arguments import (
     candidate_conclusions,
     minimal_supports,
     supp_of,
-    universe_to_json,
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
@@ -242,15 +241,3 @@ class TestSuppOf:
     def test_abstract_argument_rejected(self):
         with pytest.raises(ValueError):
             supp_of([Argument(id="X")])
-
-
-def test_universe_to_json_shape():
-    universe = build_universe(example2())
-    data = universe_to_json(universe)
-    assert data[3] == {
-        "id": "A4",
-        "support": ["a", "a -> b"],
-        "conclusion": "b",
-        "level": 2,
-    }
-    assert len(data) == 8

@@ -80,6 +80,15 @@ class TestExtensions:
         assert data["stable"] == [["A", "B", "C"], ["A", "B", "D"]]
         assert data["unique_complete"] is False
 
+    def test_json_key_order(self, run):
+        code, out, _ = run("extensions", fx("example1.af"), "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)) == [
+            "mode", "capped", "iterations", "unique_complete",
+            "class_r", "class_r_pref", "grounded", "greatest_fixed_point",
+            "complete", "stable",
+        ]
+
     def test_semantics_projection(self, run):
         code, out, _ = run(
             "extensions", fx("example1.af"), "--semantics", "stable",
@@ -172,6 +181,18 @@ class TestArguments:
         assert len(lines) == 8
         assert lines[0] == "A1: ({a}, a) @1"
         assert lines[3] == "A4: ({a, a -> b}, b) @2"
+
+    def test_json_shape(self, run):
+        code, out, _ = run("arguments", fx("example2.kb"), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data[3] == {
+            "id": "A4",
+            "support": ["a", "a -> b"],
+            "conclusion": "b",
+            "level": 2,
+        }
+        assert len(data) == 8
 
     def test_query_joins_pool(self, run):
         code, out, _ = run(
@@ -268,6 +289,40 @@ class TestCoherence:
             {"stratum": 2, "position": 0, "formula": "a -> b"},
         ]
         assert data["correspondence"]["ok"] is True
+
+    def test_json_ref_and_subbase(self, run):
+        code, out, _ = run("coherence", fx("example2.kb"), "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["subbases"][0] == [
+            {"stratum": 1, "position": 0, "formula": "a"},
+            {"stratum": 2, "position": 0, "formula": "a -> b"},
+        ]
+        assert data["subbases"][1][1] == {"stratum": 2, "position": 0, "formula": "a -> b"}
+        assert all(list(r) == ["stratum", "position", "formula"]
+                   for r in data["intersection"] + sum(data["subbases"], []))
+
+    def test_correspondence_payload(self, run):
+        # coherence and check print the same correspondence block
+        blocks = []
+        for command in ("coherence", "check"):
+            code, out, _ = run(command, fx("example2.kb"), "--format", "json")
+            assert code == 0
+            blocks.append(json.loads(out)["correspondence"])
+        data = blocks[0]
+        assert blocks[1] == data
+        assert list(data) == ["ok", "clauses"]
+        assert data["ok"] is True
+        assert [c["name"] for c in data["clauses"]] == [
+            "subbase_arguments_are_stable",
+            "class_support_within_intersection",
+            "class_within_every_stable",
+            "flat_stable_equals_max_consistent",
+            "grounded_support_vs_intersection",
+        ]
+        assert all(list(c) == ["name", "status", "detail", "counterexample"]
+                   for c in data["clauses"])
+        assert all(c["counterexample"] is None for c in data["clauses"])
 
     def test_af_input_rejected(self, run):
         code, _, err = run("coherence", fx("example1.af"))

@@ -14,11 +14,8 @@ from prefarg.coherence import (
     Subbase,
     arg_of,
     check_correspondence,
-    correspondence_to_json,
     incl_subbases,
     max_consistent_subbases,
-    ref_to_json,
-    subbase_to_json,
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
@@ -334,29 +331,3 @@ class TestGuards:
             tracemalloc.stop()
         assert only.refs == kb.belief_refs()
         assert peak < 4_000_000
-
-
-class TestJson:
-    def test_ref_and_subbase(self):
-        kb = parse_kb(fixture_text("example2.kb"))
-        assert ref_to_json(kb, BeliefRef(2, 0)) == {
-            "stratum": 2, "position": 0, "formula": "a -> b",
-        }
-        first = incl_subbases(kb)[0]
-        assert subbase_to_json(kb, first) == [
-            {"stratum": 1, "position": 0, "formula": "a"},
-            {"stratum": 2, "position": 0, "formula": "a -> b"},
-        ]
-
-    def test_correspondence_payload(self):
-        report = check_correspondence(build_universe(parse_kb(fixture_text("example2.kb"))))
-        data = correspondence_to_json(report)
-        assert data["ok"] is True
-        assert [c["name"] for c in data["clauses"]] == [
-            "subbase_arguments_are_stable",
-            "class_support_within_intersection",
-            "class_within_every_stable",
-            "flat_stable_equals_max_consistent",
-            "grounded_support_vs_intersection",
-        ]
-        assert all(c["counterexample"] is None for c in data["clauses"])

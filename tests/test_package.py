@@ -63,6 +63,14 @@ def test_all_names_resolve_once():
     (coherence, "consistent_subsets"),
     (coherence, "_table_for"),
     (coherence, "check_cap"),
+    (prefarg, "report_to_json"),
+    (semantics, "report_to_json"),
+    (prefarg, "correspondence_to_json"),
+    (coherence, "correspondence_to_json"),
+    (coherence, "ref_to_json"),
+    (coherence, "subbase_to_json"),
+    (prefarg, "universe_to_json"),
+    (arguments, "universe_to_json"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)

@@ -24,7 +24,6 @@ from prefarg.semantics import (
     g_step,
     greatest_fixed_point,
     grounded_extension,
-    report_to_json,
     self_check,
     stable_extensions,
 )
@@ -213,16 +212,6 @@ class TestCap:
         fw = parse_abstract_framework("\n".join(facts))
         ids, _ = grounded_extension(fw)
         assert ids == frozenset(f"N{i}" for i in range(0, 30, 2))
-
-
-class TestReportJson:
-    def test_key_order(self):
-        data = report_to_json(evaluate(load("example1.af")))
-        assert list(data) == [
-            "mode", "capped", "iterations", "unique_complete",
-            "class_r", "class_r_pref", "grounded", "greatest_fixed_point",
-            "complete", "stable",
-        ]
 
 
 class TestAgainstOracles:
