@@ -163,13 +163,24 @@ def g_oracle(ids, attacks, s: frozenset) -> frozenset:
     return frozenset(ids) - attacked_by(attacks, s)
 
 
-def grounded_oracle(ids, attacks) -> frozenset:
+def grounded_rounds_oracle(ids, attacks) -> tuple[frozenset, int]:
+    """f_step iterated up from the empty set, and the applications it took.
+
+    The count includes the final application, the one that confirms the
+    fixed point; the package's grounded labelling reports the same.
+    """
     s = frozenset()
+    iterations = 0
     while True:
         nxt = f_oracle(ids, attacks, s)
+        iterations += 1
         if nxt == s:
-            return s
+            return s, iterations
         s = nxt
+
+
+def grounded_oracle(ids, attacks) -> frozenset:
+    return grounded_rounds_oracle(ids, attacks)[0]
 
 
 def complete_oracle(ids, attacks) -> set[frozenset]:

@@ -1,12 +1,16 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import oracles
 import randgen
-from conftest import fixture_text
+from conftest import SRC, fixture_text
 from prefarg.errors import CapExceededError
 from prefarg.framework import parse_abstract_framework
 from prefarg import semantics
@@ -43,9 +47,12 @@ def _full(fw):
     return (1 << len(fw.arguments)) - 1
 
 
-# Planted operator faults: the operator to replace and its replacement,
-# built from the real one. Mask 1 is the first argument alone, which
-# neither the grounded iteration nor the f-chain of example1.af visits.
+# Planted faults: the function to replace and its replacement, built
+# from the real one. Mask 1 is the first argument alone, which the
+# f-chain of example1.af never visits; the grounded labelling calls none
+# of the three operator kernels, so no kernel plant reaches it. The
+# grounded plant keeps only the first IN frontier, which on a chain
+# misses every other member.
 PLANTS = {
     "f_of_everything_empty": ("_f_mask", lambda real: lambda fw, s, *r: (
         0 if s == _full(fw) else real(fw, s, *r))),
@@ -56,6 +63,8 @@ PLANTS = {
     "g_fixes_first": ("_g_mask", lambda real: lambda fw, s, *r: s if s == 1 else real(fw, s, *r)),
     "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode, *r: (
         s == _full(fw) or real(fw, s, mode, *r))),
+    "grounded_first_frontier": ("grounded_extension", lambda real: lambda fw: (
+        class_cr_pref(fw), real(fw)[1])),
 }
 
 
@@ -213,6 +222,23 @@ class TestCap:
         ids, _ = grounded_extension(fw)
         assert ids == frozenset(f"N{i}" for i in range(0, 30, 2))
 
+    def test_twenty_thousand_argument_chain_answers_promptly(self):
+        # Iterating f_step costs O(n) per round, and a chain takes n / 2
+        # rounds: minutes at this size. The labelling walks each edge at
+        # most twice. A child process with a time limit keeps a
+        # regression from stalling the suite.
+        code = (
+            "from test_semantics import chain\n"
+            "from prefarg.semantics import grounded_extension\n"
+            "ids, iterations = grounded_extension(chain(20000))\n"
+            "print(len(ids), iterations, ids == {f'N{i}' for i in range(0, 20000, 2)})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["10000", "10001", "True"]
+
 
 class TestAgainstOracles:
     @pytest.mark.parametrize("seed", range(60))
@@ -220,8 +246,8 @@ class TestAgainstOracles:
         fw = randgen.random_framework(random.Random(seed))
         ids = set(fw.ids)
         atk = set(fw.attacks)
-        grounded, _ = grounded_extension(fw)
-        assert grounded == oracles.grounded_oracle(ids, atk)
+        grounded, iterations = grounded_extension(fw)
+        assert (grounded, iterations) == oracles.grounded_rounds_oracle(ids, atk)
         assert set(complete_extensions(fw)) == oracles.complete_oracle(ids, atk)
         assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
         assert greatest_fixed_point(fw) == oracles.g_oracle(ids, atk, grounded)
@@ -248,8 +274,7 @@ class TestAgainstOracles:
             fw = build_framework(universe)
             ids = set(fw.ids)
             atk = set(fw.attacks)
-            grounded, _ = grounded_extension(fw)
-            assert grounded == oracles.grounded_oracle(ids, atk)
+            assert grounded_extension(fw) == oracles.grounded_rounds_oracle(ids, atk)
             assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
 
 
@@ -265,6 +290,7 @@ class TestKernelsAgainstOracles:
         atk = set(fw.attacks)
         dfs = set(fw.defeats)
         full = _full(fw)
+        assert grounded_extension(fw) == oracles.grounded_rounds_oracle(ids, atk)
         for s in [0, full] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)] + [
             rng.getrandbits(n) for _ in range(10)
         ]:
@@ -420,6 +446,8 @@ class TestSelfCheck:
         ("stable_implies_complete", "g_fixes_first", "example1.af"),
         ("stable_iff_attacks_every_outsider", "everything_conflict_free", "example1.af"),
         ("stable_maximal_conflict_free", "everything_conflict_free", "example1.af"),
+        ("grounded_is_fixed_point", "grounded_first_frontier", "chain13"),
+        ("grounded_is_union_of_f_chain", "grounded_first_frontier", "chain13"),
     ])
     def test_planted_violation_fails(self, monkeypatch, law, plant, fw_name):
         fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
