@@ -48,7 +48,6 @@ from .formulas import (
 )
 from .framework import (
     Framework,
-    PreferenceRelation,
     build_framework,
     parse_abstract_framework,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "Not",
     "Or",
     "PrefArgError",
-    "PreferenceRelation",
     "SelfCheckReport",
     "StratifiedKB",
     "Subbase",

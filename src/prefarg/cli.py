@@ -58,7 +58,7 @@ from .arguments import DEFAULT_CAP, build_universe, check_cap
 from .coherence import check_correspondence
 from .errors import CapExceededError, PrefArgError
 from .formulas import parse_formula, render
-from .framework import PreferenceRelation, build_framework, parse_abstract_framework
+from .framework import _bits, build_framework, parse_abstract_framework
 from .kb import parse_kb
 from .semantics import evaluate, self_check
 
@@ -287,14 +287,15 @@ def cmd_coherence(args, universe, fw) -> int:
 
 
 def cmd_graph(args, universe, fw) -> int:
-    attacks = set(fw.attacks)
+    ids = fw.ids
     lines = ["digraph framework {", "  rankdir=LR;"]
     for a in fw.arguments:
         label = a.id if a.level is None else f"{a.id} @{a.level}"
         lines.append(f'  "{a.id}" [label="{label}"];')
-    for x, y in fw.defeats:
-        style = "" if (x, y) in attacks else " [style=dashed]"
-        lines.append(f'  "{x}" -> "{y}"{style};')
+    for i, (targets, kept) in enumerate(zip(fw.defeat_targets_mask, fw.attack_targets_mask)):
+        for j in _bits(targets):
+            style = "" if kept >> j & 1 else " [style=dashed]"
+            lines.append(f'  "{ids[i]}" -> "{ids[j]}"{style};')
     lines.append("}")
     _emit("".join(line + "\n" for line in lines))
     return 0
@@ -387,8 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             check_cap((universe or fw).arguments, "arguments", args.cap)
         if universe is not None and args.command in ("extensions", "accept", "graph", "check"):
-            pref = PreferenceRelation.none() if args.pref == "none" else None
-            fw = build_framework(universe, args.defeat or "undercut", pref)
+            fw = build_framework(universe, args.defeat or "undercut", args.pref or "certainty")
         return _COMMANDS[args.command](args, universe, fw)
     except CapExceededError as exc:
         sys.stderr.write(f"prefarg: error: {exc}\n")

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, _belief_masks, supp_of
 from .formulas import Formula, render
-from .framework import Framework, PreferenceRelation, build_framework
+from .framework import Framework, build_framework
 from .kb import BeliefRef, StratifiedKB
 from .semantics import class_cr_pref, grounded_extension, stable_extensions
 
@@ -209,7 +209,7 @@ def check_correspondence(
         outside,
     ))
 
-    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, PreferenceRelation.none(), "undercut")
+    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, None, "undercut")
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
     flat_expected = set(ids_of.values())
     mismatch = None

@@ -13,14 +13,15 @@ A preference preorder then filters defeats into attacks: a defeat of A
 by B becomes an attack unless A is strictly preferred to B, in which
 case A shrugs the defeat off and the edge is dropped.
 
-The preorder is held as one bitmask per argument position: bit j of
-argument i's mask says i is at least as preferred as j. Certainty
-preference builds one mask per level, and an explicit relation is closed
-in one pass over the strongly connected components of its pairs, so the
-closure costs O(n + m) mask ORs. Defeats are held the same way, one
-target mask per argument, from the builders to the semantics. The attack
-filter is one test per defeat: the defeat of A by B is dropped iff B is
-in A's mask and A is not in B's.
+The preorder is plain data, one bitmask per argument position: bit j of
+argument i's mask says i is at least as preferred as j, and None stands
+for no preference at all. `certainty_masks` builds one mask per level,
+and `preference_closure` closes explicit pairs in one pass over the
+strongly connected components of their graph, so the closure costs
+O(n + m) mask ORs. Defeats are held the same way, one target mask per
+argument, from the builders to the semantics. The attack filter is one
+test per defeat: the defeat of A by B is dropped iff B is in A's mask
+and A is not in B's.
 
 Abstract frameworks can also be read from fact files:
 
@@ -36,7 +37,6 @@ into equivalences, as a preorder allows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
@@ -111,6 +111,14 @@ def _reach_masks(succ: Sequence[Sequence[int]]) -> list[int]:
     return reach
 
 
+def _checked_masks(masks: Iterable[int], n: int, what: str) -> list[int]:
+    """The masks as a list, if there is one per position and none has a bit past n."""
+    out = list(masks)
+    if len(out) != n or any(m < 0 or m >> n for m in out):
+        raise ValueError(f"need one {what} mask over {n} positions per argument")
+    return out
+
+
 def strict_masks(masks: Sequence[int]) -> list[int]:
     """The strict part of a preorder given as masks: j in out[i] iff i ranks
     at least as high as j and j does not rank at least as high as i."""
@@ -120,81 +128,45 @@ def strict_masks(masks: Sequence[int]) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class PreferenceRelation:
-    """Preorder over arguments, held as one mask per argument position.
+def certainty_masks(arguments: Sequence[Argument]) -> list[int]:
+    """The certainty preorder over knowledge-base arguments, one mask per position.
 
-    Bit j of an argument's mask says that argument is at least as
-    preferred as argument j; `strict_pairs` is the strict part. Kind
-    "certainty" compares certainty levels (lower level wins) and builds
-    one mask per level, "explicit" holds the closed masks over the
-    positions of `ids`, and "none" prefers nothing (each mask is its own
-    bit). An explicit relation applies to arguments listing exactly its
-    ids, in its order.
+    A lower level is more certain. Each argument's mask holds the
+    arguments at its level or a less certain one, built once per level.
     """
+    levels = [a.level for a in arguments]
+    if None in levels:
+        raise ValueError("certainty preference requires knowledge-base arguments")
+    at_level: dict[int, int] = {}
+    for i, level in enumerate(levels):
+        at_level[level] = at_level.get(level, 0) | 1 << i
+    at_or_below: dict[int, int] = {}
+    acc = 0
+    for level in sorted(at_level, reverse=True):
+        acc |= at_level[level]
+        at_or_below[level] = acc
+    return [at_or_below[level] for level in levels]
 
-    kind: str
-    ids: tuple[str, ...] = ()
-    masks: tuple[int, ...] = ()
 
-    @classmethod
-    def by_certainty(cls) -> PreferenceRelation:
-        return cls("certainty")
-
-    @classmethod
-    def none(cls) -> PreferenceRelation:
-        return cls("none")
-
-    @classmethod
-    def explicit(
-        cls, pairs: Iterable[tuple[str, str]], ids: Iterable[str]
-    ) -> PreferenceRelation:
-        """Close the given (better, worse) pairs reflexively and transitively over ids."""
-        id_list = tuple(dict.fromkeys(ids))
-        index = {x: i for i, x in enumerate(id_list)}
-        succ: list[list[int]] = [[] for _ in id_list]
-        for x, y in pairs:
-            if x not in index or y not in index:
-                raise ValueError(f"preference pair ({x}, {y}) names an unknown argument")
-            succ[index[x]].append(index[y])
-        return cls("explicit", id_list, tuple(_reach_masks(succ)))
-
-    def position_masks(self, arguments: Sequence[Argument]) -> list[int]:
-        """The preorder over the given arguments, one mask per listing position."""
-        if self.kind == "none":
-            return [1 << i for i in range(len(arguments))]
-        if self.kind == "certainty":
-            levels = [a.level for a in arguments]
-            if None in levels:
-                raise ValueError("certainty preference requires knowledge-base arguments")
-            # One mask per level: the arguments at that level or a less certain one.
-            at_level: dict[int, int] = {}
-            for i, level in enumerate(levels):
-                at_level[level] = at_level.get(level, 0) | 1 << i
-            at_or_below: dict[int, int] = {}
-            acc = 0
-            for level in sorted(at_level, reverse=True):
-                acc |= at_level[level]
-                at_or_below[level] = acc
-            return [at_or_below[level] for level in levels]
-        if tuple(a.id for a in arguments) != self.ids:
-            raise ValueError("explicit preference ranks other arguments than these")
-        return list(self.masks)
-
-    def strict_pairs(self, arguments: Sequence[Argument]) -> list[tuple[str, str]]:
-        """All strictly ordered id pairs among the given arguments, in listing order."""
-        ids = [a.id for a in arguments]
-        return [
-            (ids[i], ids[j])
-            for i, m in enumerate(strict_masks(self.position_masks(arguments)))
-            for j in _bits(m)
-        ]
+def preference_closure(pairs: Iterable[tuple[str, str]], ids: Iterable[str]) -> list[int]:
+    """Close (better, worse) id pairs reflexively and transitively, one mask
+    per position of ids."""
+    index = {x: i for i, x in enumerate(dict.fromkeys(ids))}
+    succ: list[list[int]] = [[] for _ in index]
+    for x, y in pairs:
+        if x not in index or y not in index:
+            raise ValueError(f"preference pair ({x}, {y}) names an unknown argument")
+        succ[index[x]].append(index[y])
+    return _reach_masks(succ)
 
 
 class Framework:
-    """Argument list, defeat target masks, a preference, and the derived attacks.
+    """Argument list, defeat target masks, preference masks, and the derived attacks.
 
-    Bit j of defeat_targets[i] says argument i defeats argument j. The
+    Bit j of defeat_targets[i] says argument i defeats argument j. Bit j
+    of preference[i] says argument i is at least as preferred as j; a
+    preference of None prefers nothing and keeps every defeat. Each list
+    holds one mask per argument, with no bit past the last position. The
     attack and defeater masks follow at construction, by the rule above.
     `defeats` and `attacks` read the edges back as id pairs in position
     order on each access. Instances are immutable in use.
@@ -204,24 +176,22 @@ class Framework:
         self,
         arguments: Iterable[Argument],
         defeat_targets: Iterable[int],
-        preference: PreferenceRelation,
+        preference: Iterable[int] | None,
         defeat_kind: str,
     ):
         if defeat_kind not in DEFEAT_KINDS:
             raise ValueError(f"unknown defeat kind {defeat_kind!r}")
         self.arguments = tuple(arguments)
-        self.preference = preference
         self.defeat_kind = defeat_kind
         self.ids = tuple(a.id for a in self.arguments)
         self._position = {x: i for i, x in enumerate(self.ids)}
         if len(self._position) != len(self.ids):
             raise ValueError("duplicate argument id")
         n = len(self.ids)
-        self.defeat_targets_mask = targets = list(defeat_targets)
-        if len(targets) != n or any(m < 0 or m >> n for m in targets):
-            raise ValueError(f"need one defeat-target mask over {n} positions per argument")
-        # preference_mask[i] has bit j iff argument i is at least as preferred as j.
-        self.preference_mask = pref = preference.position_masks(self.arguments)
+        self.defeat_targets_mask = targets = _checked_masks(defeat_targets, n, "defeat-target")
+        self.preference_mask = pref = (
+            None if preference is None else _checked_masks(preference, n, "preference")
+        )
         self.defeaters_mask = [0] * n
         self.attackers_mask = [0] * n
         self.attack_targets_mask = [0] * n
@@ -229,7 +199,7 @@ class Framework:
             for j in _bits(m):
                 self.defeaters_mask[j] |= 1 << i
                 # The defeat of j by i is dropped iff j is strictly preferred to i.
-                if not (pref[j] >> i & 1 and not pref[i] >> j & 1):
+                if pref is None or not (pref[j] >> i & 1 and not pref[i] >> j & 1):
                     self.attack_targets_mask[i] |= 1 << j
                     self.attackers_mask[j] |= 1 << i
 
@@ -258,9 +228,12 @@ class Framework:
 def build_framework(
     universe: ArgumentUniverse,
     defeat: str = "undercut",
-    preference: PreferenceRelation | None = None,
+    preference: str = "certainty",
 ) -> Framework:
     """Compute every defeat over a universe and derive the attacks.
+
+    preference is "certainty" (lower level wins, `certainty_masks`) or
+    "none" (every defeat is kept).
 
     Defeats come from one keyed pass. Each argument is keyed by the
     truth mask of the negation of every formula it can be defeated
@@ -273,8 +246,8 @@ def build_framework(
     """
     if defeat not in ("rebut", "undercut"):
         raise ValueError(f"defeat must be 'rebut' or 'undercut', got {defeat!r}")
-    if preference is None:
-        preference = PreferenceRelation.by_certainty()
+    if preference not in ("certainty", "none"):
+        raise ValueError(f"preference must be 'certainty' or 'none', got {preference!r}")
     args = universe.arguments
     table = universe.table
     through: dict[int, int] = {}
@@ -283,7 +256,8 @@ def build_framework(
             key = table.full ^ table.mask(f)
             through[key] = through.get(key, 0) | 1 << k
     targets = [through.get(table.mask(a.conclusion), 0) for a in args]
-    return Framework(args, targets, preference, defeat)
+    pref = certainty_masks(args) if preference == "certainty" else None
+    return Framework(args, targets, pref, defeat)
 
 
 _FACT_RE = re.compile(
@@ -297,9 +271,9 @@ def parse_abstract_framework(text: str) -> Framework:
     defs: list[tuple[str, str]] = []
     prefs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
+        line = raw.split("%", 1)[0].rstrip()
         pos = 0
-        while line[pos:].strip():
+        while pos < len(line):
             match = _FACT_RE.match(line, pos)
             if match is None:
                 snippet = line[pos:].strip()[:30]
@@ -322,7 +296,5 @@ def parse_abstract_framework(text: str) -> Framework:
     targets = [0] * len(index)
     for x, y in defs:
         targets[index[x]] |= 1 << index[y]
-    preference = (
-        PreferenceRelation.explicit(prefs, index) if prefs else PreferenceRelation.none()
-    )
+    preference = preference_closure(prefs, index) if prefs else None
     return Framework(tuple(Argument(id=n) for n in index), targets, preference, "abstract")

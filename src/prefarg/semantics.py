@@ -472,15 +472,17 @@ def self_check(fw: Framework) -> SelfCheckReport:
         return "{" + ", ".join(_ordered_ids(fw, mask)) + "}"
 
     # Structural laws for the attack relation and the preference.
-    record("attacks_within_defeats", set(fw.attacks) <= set(fw.defeats))
-    if fw.preference.kind == "none":
-        record("empty_preference_keeps_all_defeats", fw.attacks == fw.defeats)
+    record("attacks_within_defeats", all(
+        a & ~d == 0 for a, d in zip(fw.attack_targets_mask, fw.defeat_targets_mask)))
+    if fw.preference_mask is None:
+        record("empty_preference_keeps_all_defeats",
+               fw.attack_targets_mask == fw.defeat_targets_mask)
     else:
         results.append(CheckResult("empty_preference_keeps_all_defeats", "skipped",
                                    "preference is not empty"))
     # strict[i] holds what argument i is strictly preferred to; transitivity
     # asks that strict[j] lie within strict[i], or be i itself, when i is above j.
-    strict = strict_masks(fw.preference_mask)
+    strict = strict_masks(fw.preference_mask or ())
     record("preference_strict_part_asymmetric",
            not any(strict[j] >> i & 1 for i, m in enumerate(strict) for j in _bits(m)))
     record("preference_strict_part_transitive",

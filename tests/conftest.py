@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from prefarg.framework import strict_masks
 from prefarg.kb import StratifiedKB
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -28,6 +29,17 @@ def unchecked_kb(core: tuple, strata: tuple) -> StratifiedKB:
     object.__setattr__(kb, "core", core)
     object.__setattr__(kb, "strata", strata)
     return kb
+
+
+def strict_pairs(masks, arguments) -> list[tuple[str, str]]:
+    """The strict part of a preorder given as masks, as (better, worse) id
+    pairs in listing order; None, no preference, has none."""
+    ids = [a.id for a in arguments]
+    return [
+        (ids[i], ids[j])
+        for i, m in enumerate(strict_masks(masks or ()))
+        for j in range(len(ids)) if m >> j & 1
+    ]
 
 
 # Verdict lines collected by the acceptance suite; printed after the run

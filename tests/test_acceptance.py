@@ -17,11 +17,11 @@ import pytest
 
 import oracles
 import randgen
-from conftest import ACCEPTANCE_LINES, FIXTURES, SRC, fixture_text
+from conftest import ACCEPTANCE_LINES, FIXTURES, SRC, fixture_text, strict_pairs
 from prefarg.arguments import build_universe, minimal_supports
 from prefarg.coherence import check_correspondence, incl_subbases
 from prefarg.formulas import parse_formula
-from prefarg.framework import PreferenceRelation, build_framework, parse_abstract_framework
+from prefarg.framework import build_framework, parse_abstract_framework
 from prefarg.kb import parse_kb
 from prefarg.semantics import (
     class_cr,
@@ -149,7 +149,7 @@ def random_frameworks(count):
 def framework_oracle_battery(fw):
     """Check every semantic invariant against full subset enumeration."""
     ids = frozenset(fw.ids)
-    strict = set(fw.preference.strict_pairs(fw.arguments))
+    strict = set(strict_pairs(fw.preference_mask, fw.arguments))
     assert sorted(fw.attacks) == sorted(
         oracles.derive_attacks_oracle(fw.defeats, strict)
     )
@@ -255,9 +255,8 @@ def kb_oracle_battery(kb, universe):
         cls = class_cr_pref(fw)
         assert not any((x, y) in fw.defeats for x in cls for y in cls)
 
-    plain = PreferenceRelation.none()
-    undefeated_undercut = class_cr(build_framework(universe, "undercut", plain))
-    undefeated_rebut = class_cr(build_framework(universe, "rebut", plain))
+    undefeated_undercut = class_cr(build_framework(universe, "undercut", "none"))
+    undefeated_rebut = class_cr(build_framework(universe, "rebut", "none"))
     assert undefeated_undercut <= undefeated_rebut
 
     report = check_correspondence(universe)

@@ -19,7 +19,7 @@ from prefarg.coherence import (
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
-from prefarg.framework import PreferenceRelation, build_framework
+from prefarg.framework import build_framework
 from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
 from prefarg.semantics import stable_extensions
 
@@ -258,11 +258,11 @@ class TestFlatClause:
             lambda fw, mode, cap: seen.append((fw, real(fw, mode, cap))) or seen[-1][1],
         )
         report = check_correspondence(universe)
-        ((flat_fw, flat_stable),) = [(fw, e) for fw, e in seen if fw.preference.kind == "none"]
+        ((flat_fw, flat_stable),) = [(fw, e) for fw, e in seen if fw.preference_mask is None]
 
         flat = _flattened(kb)
         flat_universe = build_universe(flat, query)
-        oracle_fw = build_framework(flat_universe, "undercut", PreferenceRelation.none())
+        oracle_fw = build_framework(flat_universe, "undercut", "none")
         keys, oracle_keys = _keys(universe.arguments), _keys(flat_universe.arguments)
         assert sorted(keys.values(), key=repr) == sorted(oracle_keys.values(), key=repr)
         assert _keys(flat_fw.arguments) == keys

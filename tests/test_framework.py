@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
 import randgen
-from conftest import fixture_text
+from conftest import SRC, fixture_text, strict_pairs
 from oracles import rebuts, undercuts
 from prefarg import formulas
 from prefarg.arguments import Argument, build_universe
@@ -12,9 +15,10 @@ from prefarg.errors import AFFormatError
 from prefarg.formulas import parse_formula
 from prefarg.framework import (
     Framework,
-    PreferenceRelation,
     build_framework,
+    certainty_masks,
     parse_abstract_framework,
+    preference_closure,
 )
 from prefarg.kb import parse_kb
 
@@ -34,7 +38,7 @@ def supported(concl_text, support_texts, level=None, ident="X"):
 
 def assert_round_trips(fw):
     """Rebuilding from the defeat-target masks gives the same edges and masks."""
-    again = Framework(fw.arguments, fw.defeat_targets_mask, fw.preference, fw.defeat_kind)
+    again = Framework(fw.arguments, fw.defeat_targets_mask, fw.preference_mask, fw.defeat_kind)
     assert again.defeats == fw.defeats
     assert again.attacks == fw.attacks
     for name in ("defeat_targets_mask", "defeaters_mask", "attack_targets_mask", "attackers_mask"):
@@ -44,26 +48,26 @@ def assert_round_trips(fw):
 class TestPreferenceRelation:
     def test_certainty_prefers_lower_level(self):
         args = [concl("a", level=1, ident="S"), concl("b", level=3, ident="W")]
-        pref = PreferenceRelation.by_certainty()
-        assert pref.position_masks(args) == [0b11, 0b10]
-        assert pref.strict_pairs(args) == [("S", "W")]
+        masks = certainty_masks(args)
+        assert masks == [0b11, 0b10]
+        assert strict_pairs(masks, args) == [("S", "W")]
 
     def test_certainty_equal_levels_tie(self):
         args = [concl("a", level=2, ident="X"), concl("b", level=2, ident="Y")]
-        pref = PreferenceRelation.by_certainty()
-        assert pref.position_masks(args) == [0b11, 0b11]
-        assert pref.strict_pairs(args) == []
+        masks = certainty_masks(args)
+        assert masks == [0b11, 0b11]
+        assert strict_pairs(masks, args) == []
 
     def test_certainty_needs_levels(self):
-        pref = PreferenceRelation.by_certainty()
         with pytest.raises(ValueError):
-            pref.position_masks([Argument(id="X"), Argument(id="Y")])
+            certainty_masks([Argument(id="X"), Argument(id="Y")])
 
     def test_none_is_reflexive_only(self):
-        pref = PreferenceRelation.none()
         args = [Argument(id="X"), Argument(id="Y")]
-        assert pref.position_masks(args) == [0b01, 0b10]
-        assert pref.strict_pairs(args) == []
+        fw = Framework(args, [0b10, 0b01], None, "abstract")
+        assert fw.preference_mask is None
+        assert fw.attacks == fw.defeats == (("X", "Y"), ("Y", "X"))
+        assert strict_pairs([0b01, 0b10], args) == []
 
     def test_explicit_closure_matches_oracle(self):
         rng = random.Random(7)
@@ -72,44 +76,39 @@ class TestPreferenceRelation:
             pairs = [
                 (rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))
             ]
-            pref = PreferenceRelation.explicit(pairs, ids)
+            masks = preference_closure(pairs, ids)
             assert {
-                (x, y) for x, m in zip(ids, pref.masks) for j, y in enumerate(ids) if m >> j & 1
+                (x, y) for x, m in zip(ids, masks) for j, y in enumerate(ids) if m >> j & 1
             } == oracles.closure_oracle(pairs, ids)
 
     def test_explicit_cycle_collapses_to_equivalence(self):
-        pref = PreferenceRelation.explicit([("A", "B"), ("B", "A")], ["A", "B"])
+        masks = preference_closure([("A", "B"), ("B", "A")], ["A", "B"])
         args = [Argument(id="A"), Argument(id="B")]
-        assert pref.position_masks(args) == [0b11, 0b11]
-        assert pref.strict_pairs(args) == []
+        assert masks == [0b11, 0b11]
+        assert strict_pairs(masks, args) == []
 
     def test_explicit_unknown_id(self):
         with pytest.raises(ValueError):
-            PreferenceRelation.explicit([("A", "Z")], ["A", "B"])
+            preference_closure([("A", "Z")], ["A", "B"])
 
     def test_strict_pairs_listing_order(self):
-        pref = PreferenceRelation.explicit([("A", "B"), ("B", "C")], ["A", "B", "C"])
+        masks = preference_closure([("A", "B"), ("B", "C")], ["A", "B", "C"])
         args = [Argument(id=i) for i in ("A", "B", "C")]
-        assert pref.strict_pairs(args) == [("A", "B"), ("A", "C"), ("B", "C")]
+        assert strict_pairs(masks, args) == [("A", "B"), ("A", "C"), ("B", "C")]
 
     @pytest.mark.parametrize("seed", range(24))
     def test_mask_closure_matches_oracle_up_to_40_ids(self, seed):
         rng = random.Random(seed)
         ids, pairs = random_preference_graph(rng, rng.randint(1, 40))
-        pref = PreferenceRelation.explicit(pairs, ids)
+        masks = preference_closure(pairs, ids)
         closed = oracles.closure_oracle(pairs, ids)
         assert {
-            (x, y) for x, m in zip(ids, pref.masks) for j, y in enumerate(ids) if m >> j & 1
+            (x, y) for x, m in zip(ids, masks) for j, y in enumerate(ids) if m >> j & 1
         } == closed
         args = [Argument(id=x) for x in ids]
-        assert pref.strict_pairs(args) == [
+        assert strict_pairs(masks, args) == [
             (x, y) for x in ids for y in ids if (x, y) in closed and (y, x) not in closed
         ]
-
-    def test_explicit_relation_needs_its_own_ids(self):
-        pref = PreferenceRelation.explicit([("A", "B")], ["A", "B"])
-        with pytest.raises(ValueError):
-            Framework([Argument(id="B"), Argument(id="A")], [0, 0], pref, "abstract")
 
 
 def random_preference_graph(rng, n):
@@ -210,7 +209,8 @@ class TestBuildFramework:
 
     def test_no_preference_keeps_every_defeat(self):
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
-        fw = build_framework(universe, "undercut", PreferenceRelation.none())
+        fw = build_framework(universe, "undercut", "none")
+        assert fw.preference_mask is None
         assert fw.attacks == fw.defeats
 
     @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
@@ -229,6 +229,12 @@ class TestBuildFramework:
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
         with pytest.raises(ValueError):
             build_framework(universe, "bite")
+
+    @pytest.mark.parametrize("preference", ["explicit", "Certainty", None])
+    def test_unknown_preference_rejected(self, preference):
+        universe = build_universe(parse_kb(fixture_text("example2.kb")))
+        with pytest.raises(ValueError):
+            build_framework(universe, "undercut", preference)
 
     @pytest.mark.parametrize("case", [*range(20), *EDGE_BASES, *(f"wide-{s}" for s in WIDE_SEEDS)])
     @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
@@ -275,7 +281,7 @@ class TestBuildFramework:
         assert list(fw.attacks) == [
             (b, a) for b, a in fw.defeats if not level[a] < level[b]
         ]
-        assert fw.preference.strict_pairs(args) == [
+        assert strict_pairs(fw.preference_mask, args) == [
             (a.id, b.id) for a in args for b in args if a.level < b.level
         ]
 
@@ -291,14 +297,23 @@ class TestFrameworkClass:
     def test_duplicate_ids_rejected(self):
         args = (Argument(id="X"), Argument(id="X"))
         with pytest.raises(ValueError):
-            Framework(args, [0, 0], PreferenceRelation.none(), "abstract")
+            Framework(args, [0, 0], None, "abstract")
 
-    @pytest.mark.parametrize("targets", [[0b01], [0b01, 0b100], [-1, 0]],
-                             ids=["wrong-length", "bit-past-end", "negative"])
-    def test_malformed_defeat_masks_rejected(self, targets):
+    @pytest.mark.parametrize("targets,preference", [
+        ([0b01], None),
+        ([0b01, 0b100], None),
+        ([-1, 0], None),
+        ([0, 0], [0b01]),
+        ([0, 0], [0b01, 0b110]),
+        ([0, 0], [0b01, -2]),
+    ], ids=[
+        "wrong-length", "bit-past-end", "negative",
+        "pref-wrong-length", "pref-bit-past-end", "pref-negative",
+    ])
+    def test_malformed_defeat_masks_rejected(self, targets, preference):
         args = (Argument(id="X"), Argument(id="Y"))
         with pytest.raises(ValueError):
-            Framework(args, targets, PreferenceRelation.none(), "abstract")
+            Framework(args, targets, preference, "abstract")
 
     def test_position_and_lookup(self):
         fw = parse_abstract_framework("arg(A). arg(B). def(A,B).")
@@ -317,12 +332,12 @@ class TestAbstractParsing:
         fw = parse_abstract_framework(fixture_text("example1.af"))
         assert fw.ids == ("A", "B", "C", "D")
         assert fw.defeats == (("C", "D"), ("D", "C"))
-        assert fw.preference.kind == "none"
+        assert fw.preference_mask is None
         assert fw.attacks == fw.defeats
 
     def test_fixture_with_preference(self):
         fw = parse_abstract_framework(fixture_text("example1_pref.af"))
-        assert fw.preference.kind == "explicit"
+        assert fw.preference_mask == [0b0001, 0b0010, 0b1100, 0b1000]
         assert fw.attacks == (("C", "D"),)
 
     def test_facts_share_lines_and_comments(self):
@@ -330,11 +345,30 @@ class TestAbstractParsing:
         assert fw.ids == ("A", "B", "C")
         assert fw.defeats == (("A", "B"),)
 
+    def test_one_line_of_eighty_thousand_facts_parses_promptly(self):
+        # Copying the rest of the line before each fact made parsing
+        # quadratic in the line's length: several seconds at this size. A
+        # child process with a time limit keeps a regression from stalling
+        # the suite.
+        code = (
+            "from prefarg.framework import parse_abstract_framework\n"
+            "n = 40000\n"
+            "facts = [f'arg(N{i}).' for i in range(n)]\n"
+            "facts += [f'def(N{i},N{i + 1}).' for i in range(n - 1)]\n"
+            "fw = parse_abstract_framework(' '.join(facts) + '  % all on one line')\n"
+            "print(len(fw.ids), len(fw.defeats))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["40000", "39999"]
+
     def test_explicit_preference_closure(self):
         fw = parse_abstract_framework(
             "arg(A). arg(B). arg(C). def(C,A). pref(A,B). pref(B,C)."
         )
-        assert ("A", "C") in fw.preference.strict_pairs(fw.arguments)  # closed through B
+        assert ("A", "C") in strict_pairs(fw.preference_mask, fw.arguments)  # closed through B
         assert fw.attacks == ()  # A is preferred to its defeater
 
     @pytest.mark.parametrize("text,fragment", [

@@ -44,10 +44,12 @@ def test_all_names_resolve_once():
     (framework, "framework_to_json"),
     (coherence, "intersection_incl"),
     (semantics, "report_from_json"),
-    (framework.PreferenceRelation, "holds"),
-    (framework.PreferenceRelation, "prefers"),
-    (framework.PreferenceRelation, "pairs"),
-    (framework.PreferenceRelation, "_index"),
+    (prefarg, "PreferenceRelation"),
+    (framework, "PreferenceRelation"),
+    # The lookups PreferenceRelation carried must not come back on Framework,
+    # which now holds the preference as plain masks.
+    *(pytest.param(framework.Framework, name, id=f"PreferenceRelation-{name}")
+      for name in ("holds", "prefers", "pairs", "_index")),
     (framework.Framework, "has_defeat"),
     (framework.Framework, "has_attack"),
     (framework, "_table_for"),

@@ -15,7 +15,7 @@ from prefarg.errors import CapExceededError
 from prefarg.framework import parse_abstract_framework
 from prefarg import semantics
 from prefarg.arguments import Argument
-from prefarg.framework import Framework, PreferenceRelation, build_framework
+from prefarg.framework import Framework, build_framework
 from prefarg.semantics import (
     MAX_EXHAUSTIVE,
     MODES,
@@ -196,7 +196,7 @@ class TestStrictMode:
         rng = random.Random(11)
         for _ in range(20):
             fw = randgen.random_framework(rng)
-            if fw.preference.kind != "none" or len(fw.arguments) > 8:
+            if fw.preference_mask is not None or len(fw.arguments) > 8:
                 continue
             assert evaluate(fw, "weak").complete == evaluate(fw, "strict").complete
 
@@ -507,9 +507,9 @@ class TestSelfCheck:
         assert status[law] == "fail"
 
     def test_planted_intransitive_preference_fails(self):
-        # Built directly, so the explicit relation skips its closure: A is
-        # above B and B above C, but A's mask leaves out C.
-        pref = PreferenceRelation("explicit", ("A", "B", "C"), (0b011, 0b110, 0b100))
+        # Raw masks that skip the closure: A is above B and B above C, but
+        # A's mask leaves out C.
+        pref = (0b011, 0b110, 0b100)
         fw = Framework([Argument(x) for x in "ABC"], [0, 0, 0], pref, "abstract")
         status = {r.name: r.status for r in self_check(fw).results}
         assert status["preference_strict_part_transitive"] == "fail"
