@@ -319,8 +319,16 @@ def _check_lines(report: dict) -> list[str]:
 
 
 def cmd_check(args, universe, fw) -> int:
-    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law."""
-    clauses = None if universe is None else check_correspondence(universe, args.cap)
+    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
+
+    Under the default --defeat and --pref, fw is the undercut/certainty
+    framework that check_correspondence reads, so it is passed on rather
+    than built again.
+    """
+    clauses = None
+    if universe is not None:
+        default = args.defeat in (None, "undercut") and args.pref in (None, "certainty")
+        clauses = check_correspondence(universe, args.cap, fw if default else None)
     checks = self_check(fw)
     report = {
         "ok": checks.ok and (clauses is None or clauses.ok),

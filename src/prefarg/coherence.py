@@ -133,7 +133,7 @@ def _show_refs(kb: StratifiedKB, refs: Iterable[BeliefRef]) -> str:
 
 
 def check_correspondence(
-    universe: ArgumentUniverse, cap: int = DEFAULT_CAP
+    universe: ArgumentUniverse, cap: int = DEFAULT_CAP, fw: Framework | None = None
 ) -> CorrespondenceReport:
     """Cross-check subbase selection against undercut/certainty extensions.
 
@@ -158,6 +158,8 @@ def check_correspondence(
     base is the universe's own, and one subbase walk serves both the
     stratified clauses and the flat one: each maximal subbase's argument
     ids are gathered once, and the preferred subbases are among them.
+    fw, when given, must be build_framework(universe), the undercut
+    framework under certainty preference; it is built when not given.
     """
     kb = universe.kb
     clauses: list[ClauseResult] = []
@@ -166,7 +168,8 @@ def check_correspondence(
     common = _common_refs(subbases)
     ids_of = {sb: frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
 
-    fw = build_framework(universe, defeat="undercut")
+    if fw is None:
+        fw = build_framework(universe, defeat="undercut")
     stable = stable_extensions(fw, "weak", cap)
 
     bad = None

@@ -31,6 +31,7 @@ arguments); the grounded labelling is never capped.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -72,9 +73,11 @@ def _ids_without(fw: Framework, sources: list[int]) -> tuple[str, ...]:
 
 
 # The operator kernels below walk set bits inline, lowest first, rather
-# than through the _bits generator: self_check calls them for every
-# subset in its pool. self_check also passes each subset's attacked set,
-# read from _attacked_lookup, so the kernels need not walk it again.
+# than through the _bits generator. f_step and g_step of a set depend
+# only on the set it attacks, so their kernels, _defended and
+# _not_attacked, take that attacked set as their only input: self_check
+# calls them once per distinct attacked set in its pool, not once per
+# subset, reading each subset's attacked set from _attacked_lookup.
 
 def _attacked_by(fw: Framework, s: int) -> int:
     targets = fw.attack_targets_mask
@@ -114,10 +117,8 @@ def _attacked_lookup(fw: Framework) -> Callable[[int], int]:
     return attacked
 
 
-def _f_mask(fw: Framework, s: int, attacked: int | None = None) -> int:
-    """f_step of s; attacked, when given, is _attacked_by(fw, s)."""
-    if attacked is None:
-        attacked = _attacked_by(fw, s)
+def _defended(fw: Framework, attacked: int) -> int:
+    """f_step of any set that attacks exactly attacked: the arguments it defends."""
     uncountered = ~attacked
     out = 0
     bit = 1
@@ -128,12 +129,9 @@ def _f_mask(fw: Framework, s: int, attacked: int | None = None) -> int:
     return out
 
 
-def _g_mask(fw: Framework, s: int, attacked: int | None = None) -> int:
-    """g_step of s; attacked, when given, is _attacked_by(fw, s)."""
-    if attacked is None:
-        attacked = _attacked_by(fw, s)
-    full = (1 << len(fw.arguments)) - 1
-    return full & ~attacked
+def _not_attacked(fw: Framework, attacked: int) -> int:
+    """g_step of any set that attacks exactly attacked."""
+    return ((1 << len(fw.arguments)) - 1) & ~attacked
 
 
 def _conflict_free_mask(fw: Framework, s: int, mode: str, attacked: int | None = None) -> bool:
@@ -172,12 +170,12 @@ def conflict_free(fw: Framework, ids: Iterable[str], mode: str = "weak") -> bool
 
 def f_step(fw: Framework, ids: Iterable[str]) -> frozenset[str]:
     """The arguments defended by the given set: every attacker is counterattacked."""
-    return _ids_of(fw, _f_mask(fw, _mask_of(fw, ids)))
+    return _ids_of(fw, _defended(fw, _attacked_by(fw, _mask_of(fw, ids))))
 
 
 def g_step(fw: Framework, ids: Iterable[str]) -> frozenset[str]:
     """The arguments not attacked by the given set."""
-    return _ids_of(fw, _g_mask(fw, _mask_of(fw, ids)))
+    return _ids_of(fw, _not_attacked(fw, _attacked_by(fw, _mask_of(fw, ids))))
 
 
 def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
@@ -237,7 +235,7 @@ def _propagate(fw: Framework, s: int, cand: int, clash: list[int]) -> tuple[int,
     argument out of cand, so a node takes at most n + 1 rounds.
     """
     while True:
-        grow = _f_mask(fw, s) & ~s
+        grow = _defended(fw, _attacked_by(fw, s)) & ~s
         for i in _bits(grow):
             if not cand >> i & 1:
                 return None
@@ -245,7 +243,7 @@ def _propagate(fw: Framework, s: int, cand: int, clash: list[int]) -> tuple[int,
             cand &= ~clash[i]
         if grow:
             continue
-        up = _f_mask(fw, s | cand)
+        up = _defended(fw, _attacked_by(fw, s | cand))
         if s & ~up:
             return None
         if not cand & ~up:
@@ -308,7 +306,10 @@ def stable_extensions(
     f_step is g_step applied twice, so every stable extension is complete:
     these are the complete extensions that g_step maps to themselves.
     """
-    return [_ids_of(fw, s) for s in _fixed_points(fw, mode, cap) if _g_mask(fw, s) == s]
+    return [
+        _ids_of(fw, s) for s in _fixed_points(fw, mode, cap)
+        if _not_attacked(fw, _attacked_by(fw, s)) == s
+    ]
 
 
 def greatest_fixed_point(fw: Framework) -> frozenset[str]:
@@ -350,12 +351,12 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     _check_mode(mode)
     grounded_ids, iterations = grounded_extension(fw)
     grounded = _mask_of(fw, grounded_ids)
-    gfp_mask = _g_mask(fw, grounded)
+    gfp_mask = _not_attacked(fw, _attacked_by(fw, grounded))
     capped = len(fw.arguments) > cap
     # f_step is g_step applied twice, so every stable extension is also a
     # complete one: one search for complete extensions yields both lists.
     complete = [] if capped else [_mask_of(fw, e) for e in complete_extensions(fw, mode, cap)]
-    stable = [s for s in complete if _g_mask(fw, s) == s]
+    stable = [s for s in complete if _not_attacked(fw, _attacked_by(fw, s)) == s]
     return ExtensionReport(
         mode=mode,
         class_r=_ids_without(fw, fw.defeaters_mask),
@@ -420,17 +421,20 @@ def _subset_pool(n: int) -> list[int]:
 def self_check(fw: Framework) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
-    f_step, g_step and weak conflict-freeness are computed once for each
-    subset in the pool, by calling _f_mask, _g_mask and
-    _conflict_free_mask, and every subset-quantified law reads those
-    three tables. Each subset's attacked set is read once from a table
-    built for this call (_attacked_lookup, one row of 256 masks per 8
-    arguments) and passed to all three kernels, so none walks the
-    subset's members again; subsets outside the pool that the laws
-    reach get theirs the same way. The pool is every subset when the
-    framework is small, and a seeded random sample above MAX_EXHAUSTIVE
-    arguments. Never raises: extension laws run on the exhaustive pool
-    only.
+    The pool is every subset when the framework is small, and a seeded
+    random sample above MAX_EXHAUSTIVE arguments. Each subset's attacked
+    set is read once from a table built for this call (_attacked_lookup,
+    one row of 256 masks per 8 arguments), and weak conflict-freeness is
+    computed once per subset from it. f_step and g_step read only the
+    attacked set, so the pool falls into classes of subsets sharing one,
+    and _defended and _not_attacked run once per class; sets outside the
+    pool that the laws reach join the same class tables, so the laws
+    pass no attacked set to a kernel twice. Laws that read only f_step and
+    g_step are checked once per class, the interchange tally counting
+    each class as many times as it has members. A class holds at most one
+    fixed point of f_step, its f_step value, and one of g_step, its g_step
+    value, so the fixed-point laws test those two candidates. Never
+    raises: extension laws run on the exhaustive pool only.
 
     On the exhaustive pool, f_monotone and g_antimonotone compare each
     subset with itself minus one member (covering pairs), and
@@ -444,25 +448,36 @@ def self_check(fw: Framework) -> SelfCheckReport:
 
     grounded_is_fixed_point and grounded_is_union_of_f_chain cross-check
     two independent algorithms: grounded_extension labels by attacker
-    counting and never calls _f_mask, while the laws apply _f_mask to its
-    answer and rebuild the least fixed point by iterating _f_mask from
-    the unattacked class.
+    counting and never calls _defended, while the laws apply _defended
+    to its answer and rebuild the least fixed point by iterating
+    _defended from the unattacked class.
     """
     n = len(fw.arguments)
     full = (1 << n) - 1
     exhaustive = n <= MAX_EXHAUSTIVE
-    pool = _subset_pool(n)
     lookup = _attacked_lookup(fw)
-    att_of = {s: lookup(s) for s in pool}
+    att_of = {s: lookup(s) for s in _subset_pool(n)}
+    class_size = Counter(att_of.values())
+    # f_table[a] and g_table[a] are f_step and g_step of every set
+    # attacking exactly a.
+    f_table = {a: _defended(fw, a) for a in class_size}
+    g_table = {a: _not_attacked(fw, a) for a in class_size}
 
     def att(s: int) -> int:
-        if s not in att_of:
-            att_of[s] = lookup(s)
-        return att_of[s]
+        a = att_of.get(s)
+        return lookup(s) if a is None else a
 
-    f_of = {s: _f_mask(fw, s, att_of[s]) for s in pool}
-    g_of = {s: _g_mask(fw, s, att_of[s]) for s in pool}
-    cf_of = {s: _conflict_free_mask(fw, s, "weak", att_of[s]) for s in pool}
+    def f(a: int) -> int:
+        if a not in f_table:
+            f_table[a] = _defended(fw, a)
+        return f_table[a]
+
+    def g(a: int) -> int:
+        if a not in g_table:
+            g_table[a] = _not_attacked(fw, a)
+        return g_table[a]
+
+    cf_of = {s: _conflict_free_mask(fw, s, "weak", a) for s, a in att_of.items()}
     results: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -490,15 +505,16 @@ def self_check(fw: Framework) -> SelfCheckReport:
 
     # Pointwise operator laws over the pool.
     unattacked = _mask_of(fw, class_cr_pref(fw))
-    record("f_of_empty_is_unattacked_class", f_of[0] == unattacked)
-    record("g_of_empty_is_everything", g_of[0] == full)
-    record("g_of_everything_is_unattacked_class", g_of[full] == unattacked)
+    record("f_of_empty_is_unattacked_class", f_table[att_of[0]] == unattacked)
+    record("g_of_empty_is_everything", g_table[att_of[0]] == full)
+    record("g_of_everything_is_unattacked_class", g_table[att_of[full]] == unattacked)
     record("unattacked_class_conflict_free",
            _conflict_free_mask(fw, unattacked, "weak", att(unattacked)))
-    record("conflict_free_iff_within_g", all(cf_of[s] == (s & ~g_of[s] == 0) for s in pool))
+    record("conflict_free_iff_within_g",
+           all(cf_of[s] == (s & ~g_table[a] == 0) for s, a in att_of.items()))
     record("f_preserves_conflict_freeness", all(
         cf_of[fs] if fs in cf_of else _conflict_free_mask(fw, fs, "weak", att(fs))
-        for fs in (f_of[s] for s in pool if cf_of[s])
+        for fs in {f_table[a] for s, a in att_of.items() if cf_of[s]}
     ))
 
     # Monotonicity: covering pairs on the exhaustive pool, four random
@@ -506,26 +522,26 @@ def self_check(fw: Framework) -> SelfCheckReport:
     f_mono = True
     g_anti = True
     if exhaustive:
-        for s in pool:
-            fs = f_of[s]
-            gs = g_of[s]
+        for s, a in att_of.items():
+            fs = f_table[a]
+            gs = g_table[a]
             rest = s
             while rest:
                 low = rest & -rest
-                sub = s ^ low
-                if f_of[sub] & ~fs:
+                sub = att_of[s ^ low]
+                if f_table[sub] & ~fs:
                     f_mono = False
-                if gs & ~g_of[sub]:
+                if gs & ~g_table[sub]:
                     g_anti = False
                 rest ^= low
     else:
         rng = random.Random(SAMPLE_SEED + 1)
-        for s in pool:
+        for s, a in att_of.items():
             for _ in range(4):
-                sub = s & rng.getrandbits(n)
-                if (f_of[sub] if sub in f_of else _f_mask(fw, sub, att(sub))) & ~f_of[s]:
+                sub = att(s & rng.getrandbits(n))
+                if f(sub) & ~f_table[a]:
                     f_mono = False
-                if g_of[s] & ~(g_of[sub] if sub in g_of else _g_mask(fw, sub, att(sub))):
+                if g_table[a] & ~g(sub):
                     g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)
@@ -533,19 +549,21 @@ def self_check(fw: Framework) -> SelfCheckReport:
     # Grounded extension laws.
     grounded_ids, _ = grounded_extension(fw)
     grounded = _mask_of(fw, grounded_ids)
-    record("grounded_is_fixed_point", _f_mask(fw, grounded, att(grounded)) == grounded)
-    record("grounded_conflict_free", _conflict_free_mask(fw, grounded, "weak", att(grounded)))
+    grounded_att = att(grounded)
+    gfp = g(grounded_att)
+    record("grounded_is_fixed_point", f(grounded_att) == grounded)
+    record("grounded_conflict_free", _conflict_free_mask(fw, grounded, "weak", grounded_att))
     chain = union = unattacked
     while True:
-        chain = _f_mask(fw, chain, att(chain))
+        chain = f(att(chain))
         if union | chain == union:
             break
         union |= chain
     record("grounded_is_union_of_f_chain", union == grounded, show(union))
 
-    gfp = _g_mask(fw, grounded, att(grounded))
-    gfp_conflict_free = _conflict_free_mask(fw, gfp, "weak", att(gfp))
-    record("gfp_is_fixed_point_of_f", _f_mask(fw, gfp, att(gfp)) == gfp)
+    gfp_att = att(gfp)
+    gfp_conflict_free = _conflict_free_mask(fw, gfp, "weak", gfp_att)
+    record("gfp_is_fixed_point_of_f", f(gfp_att) == gfp)
     # Conflict-freeness of the greatest fixed point collapses the whole
     # fixed-point interval: any member outside the grounded extension
     # keeps an attacker inside the gfp.
@@ -555,28 +573,30 @@ def self_check(fw: Framework) -> SelfCheckReport:
         show(gfp),
     )
 
-    # Fixed-point laws over the pool, including the f/g interchange tally.
+    # Fixed-point laws and the f/g interchange tally, one class at a time:
+    # a member s of class a is fixed by f_step exactly when s is f_step's
+    # value on a, and by g_step exactly when s is g_step's value on a.
     fgf_mismatch = 0
     fgf_f_fp_mismatch = 0
     fgf_g_fp_mismatch = 0
     sandwich_ok = True
     g_fp_ok = True
     f_is_g_twice_ok = True
-    for s in pool:
-        fs = f_of[s]
-        gs = g_of[s]
-        if (g_of[gs] if gs in g_of else _g_mask(fw, gs, att(gs))) != fs:
+    for a, size in class_size.items():
+        fs = f_table[a]
+        gs = g_table[a]
+        gs_att = att(gs)
+        f_fixed = att_of.get(fs) == a
+        if g(gs_att) != fs:
             f_is_g_twice_ok = False
-        if fs != (g_of[fs] if fs in g_of else _g_mask(fw, fs, att(fs))):
-            fgf_mismatch += 1
-            if fs == s:
-                fgf_f_fp_mismatch += 1
-            if gs == s:
-                fgf_g_fp_mismatch += 1
-        if fs == s:
-            if s & ~gfp or grounded & ~s:
+        if fs != g(att(fs)):
+            fgf_mismatch += size
+            fgf_f_fp_mismatch += f_fixed
+            fgf_g_fp_mismatch += att_of.get(gs) == a
+        if f_fixed:
+            if fs & ~gfp or grounded & ~fs:
                 sandwich_ok = False
-            if (f_of[gs] if gs in f_of else _f_mask(fw, gs, att(gs))) != gs:
+            if f(gs_att) != gs:
                 g_fp_ok = False
     record("fixed_points_between_grounded_and_gfp", sandwich_ok)
     record("g_of_fixed_point_is_fixed_point", g_fp_ok)
@@ -584,21 +604,24 @@ def self_check(fw: Framework) -> SelfCheckReport:
     record("f_g_interchange_at_g_fixed_points", fgf_g_fp_mismatch == 0,
            f"{fgf_g_fp_mismatch} mismatches at fixed points of g_step")
     record("f_g_interchange_diagnostic", True,
-           f"{fgf_mismatch}/{len(pool)} pool subsets differ, "
+           f"{fgf_mismatch}/{len(att_of)} pool subsets differ, "
            f"{fgf_f_fp_mismatch} at fixed points of f_step")
 
     # Extension laws need full enumeration.
     if exhaustive:
         complete = [_mask_of(fw, e) for e in complete_extensions(fw, "weak", MAX_EXHAUSTIVE)]
-        stable = [s for s in complete if g_of[s] == s]
+        stable = [s for s in complete if g_table[att_of[s]] == s]
         record("grounded_is_complete", grounded in complete)
         record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))
-        # The pool holds every subset here, so this finds every stable set;
-        # S attacks every outsider exactly when g_step(S) lies within S.
-        record("stable_implies_complete",
-               {s for s in pool if cf_of[s] and g_of[s] == s} <= set(complete))
+        # The pool holds every subset here, so the g_step value of each
+        # class is every candidate stable set; S attacks every outsider
+        # exactly when g_step(S) lies within S.
+        record("stable_implies_complete", {
+            gs for a, gs in g_table.items() if att_of[gs] == a and cf_of[gs]
+        } <= set(complete))
         record("stable_iff_attacks_every_outsider", all(
-            (g_of[s] == s) == (g_of[s] & ~s == 0) for s in pool if cf_of[s]
+            (g_table[a] == s) == (g_table[a] & ~s == 0)
+            for s, a in att_of.items() if cf_of[s]
         ))
         record("stable_maximal_conflict_free",
                not any(cf_of[s | 1 << i] for s in stable for i in _bits(full & ~s)))
@@ -623,7 +646,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
 
     return SelfCheckReport(
         results=tuple(results),
-        fgf_checked=len(pool),
+        fgf_checked=len(att_of),
         fgf_mismatches=fgf_mismatch,
         fgf_f_fixed_point_mismatches=fgf_f_fp_mismatch,
         fgf_g_fixed_point_mismatches=fgf_g_fp_mismatch,

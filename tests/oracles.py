@@ -197,6 +197,24 @@ def stable_oracle(ids, attacks) -> set[frozenset]:
     }
 
 
+def self_check_tally_oracle(ids, attacks) -> tuple[int, int, int, int]:
+    """The f/g interchange tally of self_check, one subset at a time.
+
+    Over every subset S: how many there are, how many have f_step(S)
+    unequal to g_step(f_step(S)), and how many of those are fixed points
+    of f_step and of g_step.
+    """
+    checked = mismatches = f_fixed = g_fixed = 0
+    for s in subsets(ids):
+        checked += 1
+        fs = f_oracle(ids, attacks, s)
+        if fs != g_oracle(ids, attacks, fs):
+            mismatches += 1
+            f_fixed += fs == s
+            g_fixed += g_oracle(ids, attacks, s) == s
+    return checked, mismatches, f_fixed, g_fixed
+
+
 def derive_attacks_oracle(defeats, strictly_preferred) -> list[tuple[str, str]]:
     """Keep a defeat of a by b unless a is strictly preferred to b."""
     return [(b, a) for b, a in defeats if (a, b) not in strictly_preferred]
@@ -312,12 +330,14 @@ def subbase_walk_oracle(kb: StratifiedKB) -> tuple[list[Subbase], list[Subbase]]
 def scan_fixed_points(fw, mode: str, step) -> list[frozenset]:
     """Sets of every size that are conflict-free in mode and fixed by step.
 
-    step is semantics._f_mask (complete) or semantics._g_mask (stable);
-    the list is ordered by size, then position bitmask.
+    step is semantics._defended (complete) or semantics._not_attacked
+    (stable), applied to the set each subset attacks; the list is ordered
+    by size, then position bitmask.
     """
     found = [
         s for s in range(1 << len(fw.arguments))
-        if semantics._conflict_free_mask(fw, s, mode) and step(fw, s) == s
+        if semantics._conflict_free_mask(fw, s, mode)
+        and step(fw, semantics._attacked_by(fw, s)) == s
     ]
     found.sort(key=lambda s: (s.bit_count(), s))
     return [semantics._ids_of(fw, s) for s in found]

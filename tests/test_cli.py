@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIXTURES, SRC, fixture_text
-from prefarg import cli
+from prefarg import cli, coherence
 from prefarg.cli import main
 from prefarg.kb import render_kb
 from randgen import random_kb
@@ -729,6 +729,26 @@ class TestInputHandling:
         command, *flags = argv
         code, _, _ = run(command, path, *flags)
         assert (code, counts["build_universe"], counts["build_framework"]) == expected
+
+
+    @pytest.mark.parametrize("flags,builds", [
+        ([], 1),
+        (["--defeat", "undercut", "--pref", "certainty"], 1),
+        (["--defeat", "rebut"], 2),
+        (["--pref", "none"], 2),
+    ])
+    def test_check_builds_the_default_framework_once(self, run, monkeypatch, flags, builds):
+        # check_correspondence reads the undercut/certainty framework, so
+        # check hands it main's framework unless a flag chose another one;
+        # the report is the same either way.
+        expected = run("check", fx("example2.kb"), "--format", "json", *flags)
+        counts = Counter()
+        for module in (cli, coherence):
+            real = module.build_framework
+            monkeypatch.setattr(module, "build_framework", lambda *a, real=real, **k: (
+                counts.update(["build_framework"]) or real(*a, **k)))
+        assert run("check", fx("example2.kb"), "--format", "json", *flags) == expected
+        assert counts["build_framework"] == builds
 
 
 class TestDeterminism:

@@ -290,6 +290,13 @@ class TestFlatClause:
         assert check_correspondence(universe).ok
         assert calls == Counter(build_framework=1)
 
+    def test_reuses_a_given_framework(self, monkeypatch):
+        universe = build_universe(parse_kb(fixture_text("example2.kb")))
+        fw = build_framework(universe)
+        expected = check_correspondence(universe)
+        monkeypatch.setattr(coherence, "build_framework", None)
+        assert check_correspondence(universe, fw=fw) == expected
+
     def test_counterexample_names_universe_ids(self, monkeypatch):
         kb = parse_kb(fixture_text("example2.kb"))
         universe = build_universe(kb)

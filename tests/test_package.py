@@ -73,6 +73,8 @@ def test_all_names_resolve_once():
     (coherence, "subbase_to_json"),
     (prefarg, "universe_to_json"),
     (arguments, "universe_to_json"),
+    (semantics, "_f_mask"),
+    (semantics, "_g_mask"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,19 +49,22 @@ def _full(fw):
 
 
 # Planted faults: the function to replace and its replacement, built
-# from the real one. Mask 1 is the first argument alone, which the
-# f-chain of example1.af never visits; the grounded labelling calls none
-# of the three operator kernels, so no kernel plant reaches it. The
-# grounded plant keeps only the first IN frontier, which on a chain
-# misses every other member.
+# from the real one. The f_step and g_step kernels read only the set a
+# subset attacks, so their plants are keyed by an attacked set: that of
+# every argument, or that of mask 1, the first argument alone. On
+# example1.af the first argument attacks nothing, so its class is the
+# empty set's; the grounded labelling calls none of the three operator
+# kernels, so no kernel plant reaches it. The grounded plant keeps only
+# the first IN frontier, which on a chain misses every other member.
 PLANTS = {
-    "f_of_everything_empty": ("_f_mask", lambda real: lambda fw, s, *r: (
-        0 if s == _full(fw) else real(fw, s, *r))),
-    "f_of_first_everything": ("_f_mask", lambda real: lambda fw, s, *r: (
-        _full(fw) if s == 1 else real(fw, s, *r))),
-    "g_of_everything_everything": ("_g_mask", lambda real: lambda fw, s, *r: (
-        _full(fw) if s == _full(fw) else real(fw, s, *r))),
-    "g_fixes_first": ("_g_mask", lambda real: lambda fw, s, *r: s if s == 1 else real(fw, s, *r)),
+    "f_of_everything_empty": ("_defended", lambda real: lambda fw, a: (
+        0 if a == semantics._attacked_by(fw, _full(fw)) else real(fw, a))),
+    "f_of_first_everything": ("_defended", lambda real: lambda fw, a: (
+        _full(fw) if a == semantics._attacked_by(fw, 1) else real(fw, a))),
+    "g_of_everything_everything": ("_not_attacked", lambda real: lambda fw, a: (
+        _full(fw) if a == semantics._attacked_by(fw, _full(fw)) else real(fw, a))),
+    "g_fixes_first": ("_not_attacked", lambda real: lambda fw, a: (
+        1 if a == semantics._attacked_by(fw, 1) else real(fw, a))),
     "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode, *r: (
         s == _full(fw) or real(fw, s, mode, *r))),
     "grounded_first_frontier": ("grounded_extension", lambda real: lambda fw: (
@@ -297,12 +301,10 @@ class TestKernelsAgainstOracles:
             members = semantics._ids_of(fw, s)
             hit = oracles.attacked_by(atk, members)
             assert semantics._ids_of(fw, semantics._attacked_by(fw, s)) == hit
-            # each kernel, given the attacked set, matches itself without it
             att = semantics._mask_of(fw, hit)
-            for f, oracle in ((semantics._f_mask, oracles.f_oracle),
-                              (semantics._g_mask, oracles.g_oracle)):
-                assert f(fw, s, att) == f(fw, s)
-                assert semantics._ids_of(fw, f(fw, s)) == oracle(ids, atk, members)
+            for kernel, oracle in ((semantics._defended, oracles.f_oracle),
+                                   (semantics._not_attacked, oracles.g_oracle)):
+                assert semantics._ids_of(fw, kernel(fw, att)) == oracle(ids, atk, members)
             cf = semantics._conflict_free_mask
             for mode, edges in (("weak", atk), ("strict", dfs)):
                 assert cf(fw, s, mode, att) == cf(fw, s, mode)
@@ -331,9 +333,9 @@ class TestSearchAgainstScan:
                 fw = randgen.random_framework(rng, n, prefs, mutual=k * n // 4)
                 for mode in MODES:
                     assert complete_extensions(fw, mode) == oracles.scan_fixed_points(
-                        fw, mode, semantics._f_mask)
+                        fw, mode, semantics._defended)
                     assert stable_extensions(fw, mode) == oracles.scan_fixed_points(
-                        fw, mode, semantics._g_mask)
+                        fw, mode, semantics._not_attacked)
 
 
 class TestSearchAboveOldCap:
@@ -377,6 +379,9 @@ class TestSearchAboveOldCap:
 SELF_CHECK_DIGEST = "70709ee9b88d389227dfc49706097ec0d279f6d38c88be70bc2c5608a2364e1a"
 
 
+ODD_CYCLE = "arg(A). arg(B). arg(C). def(A,B). def(B,C). def(C,A)."
+
+
 class TestSelfCheck:
     @pytest.mark.parametrize(
         "name", ["example1.af", "example1_pref.af", "self_attack.af", "example4.af"]
@@ -386,9 +391,7 @@ class TestSelfCheck:
         assert rep.ok, [r for r in rep.results if r.status == "fail"]
 
     def test_odd_cycle_passes(self):
-        fw = parse_abstract_framework(
-            "arg(A). arg(B). arg(C). def(A,B). def(B,C). def(C,A)."
-        )
+        fw = parse_abstract_framework(ODD_CYCLE)
         rep = self_check(fw)
         assert rep.ok, [r for r in rep.results if r.status == "fail"]
 
@@ -405,6 +408,47 @@ class TestSelfCheck:
         rep = self_check(load("self_attack.af"))
         assert rep.fgf_f_fixed_point_mismatches == 2
         assert rep.fgf_g_fixed_point_mismatches == 0
+
+    @pytest.mark.parametrize("prefs", randgen.PREF_STYLES)
+    def test_interchange_tally_matches_oracle(self, prefs):
+        # Sizes 0-10 take the exhaustive pool, where the tally covers every
+        # subset; random_framework draws self-defeats at every density.
+        rng = random.Random(f"tally:{prefs}")
+        self_attacks = 0
+        for k in range(44):
+            n = k % 11
+            fw = randgen.random_framework(rng, n, prefs, mutual=min(k % 3, n // 2))
+            atk = set(fw.attacks)
+            self_attacks += any(a == b for a, b in atk)
+            rep = self_check(fw)
+            assert (rep.fgf_checked, rep.fgf_mismatches, rep.fgf_f_fixed_point_mismatches,
+                    rep.fgf_g_fixed_point_mismatches) == oracles.self_check_tally_oracle(
+                        fw.ids, atk)
+        assert self_attacks
+
+    @pytest.mark.parametrize("fw_name", ["example1.af", "chain13"])
+    def test_kernels_run_once_per_attacked_set(self, monkeypatch, fw_name):
+        # The search behind complete_extensions makes its own kernel calls,
+        # so it is replaced by its answer to count self_check's alone.
+        fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
+        complete = complete_extensions(fw, cap=len(fw.arguments))
+        monkeypatch.setattr(semantics, "complete_extensions", lambda *a: complete)
+        calls = {"_defended": Counter(), "_not_attacked": Counter()}
+        for name, seen in calls.items():
+            real = getattr(semantics, name)
+            monkeypatch.setattr(semantics, name, lambda fw, a, real=real, seen=seen: (
+                seen.update([a]) or real(fw, a)))
+        rep = self_check(fw)
+        assert rep.ok
+        pool = semantics._subset_pool(len(fw.arguments))
+        classes = {semantics._attacked_by(fw, s) for s in pool}
+        for seen in calls.values():
+            assert set(seen.values()) == {1}
+            if fw_name == "example1.af":
+                # every subset is in the exhaustive pool: {}, {C}, {D}, {C, D}
+                assert set(seen) == classes and len(classes) == 4
+            else:
+                assert classes <= set(seen) and len(classes) < len(pool)
 
     def test_large_framework_skips_enumeration_checks(self):
         rep = self_check(chain(25))
@@ -459,24 +503,27 @@ class TestSelfCheck:
         assert status[law] == "fail"
 
     @pytest.mark.parametrize("law,name,value", [
-        ("f_monotone", "_f_mask", _full),
-        ("g_antimonotone", "_g_mask", lambda fw: 0),
+        ("f_monotone", "_defended", _full),
+        ("g_antimonotone", "_not_attacked", lambda fw: 0),
     ])
     def test_sampled_sub_subsets_reach_the_kernels(self, monkeypatch, law, name, value):
         # Replay the sampled pool's four sub-subsets per member and plant
-        # the fault at the least one outside the pool. On a chain f_step
-        # never holds the second argument and g_step always holds the
-        # first, so either plant breaks its law through that one value.
+        # the fault at the least attacked set among them that no pool
+        # member has. On a chain f_step never holds the second argument
+        # and g_step always holds the first, so either plant breaks its
+        # law through that one value.
         n = MAX_EXHAUSTIVE + 1
+        fw = chain(n)
         pool = semantics._subset_pool(n)
         rng = random.Random(semantics.SAMPLE_SEED + 1)
-        off_pool = min({s & rng.getrandbits(n) for s in pool for _ in range(4)} - set(pool))
-        fw = chain(n)
+        subs = {s & rng.getrandbits(n) for s in pool for _ in range(4)}
+        attacked = semantics._attacked_lookup(fw)
+        off_pool = min({attacked(s) for s in subs} - {attacked(s) for s in pool})
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "pass"
         real = getattr(semantics, name)
-        monkeypatch.setattr(semantics, name, lambda fw, s, *r: (
-            value(fw) if s == off_pool else real(fw, s, *r)))
+        monkeypatch.setattr(semantics, name, lambda fw, a: (
+            value(fw) if a == off_pool else real(fw, a)))
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "fail"
 
@@ -498,9 +545,13 @@ class TestSelfCheck:
         ("g_antimonotone", "g_fixes_first"),
     ])
     def test_covering_pairs_remove_the_highest_member(self, monkeypatch, law, plant):
-        # Both plants change the operator at the first argument alone, so
-        # only pairs that take a higher member out of {A, x} leave {A}.
-        fw = load("example1.af")
+        # On an odd cycle each argument attacks its own target, so {A}
+        # alone attacks {B}. Both plants change the operator at that
+        # attacked set only, so only pairs that take a higher member out
+        # of {A, x} leave {A}.
+        fw = parse_abstract_framework(ODD_CYCLE)
+        status = {r.name: r.status for r in self_check(fw).results}
+        assert status[law] == "pass"
         name, build = PLANTS[plant]
         monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
         status = {r.name: r.status for r in self_check(fw).results}
