@@ -528,20 +528,20 @@ def self_check(fw: Framework) -> SelfCheckReport:
             rest = s
             while rest:
                 low = rest & -rest
-                sub = att_of[s ^ low]
-                if f_table[sub] & ~fs:
+                a_sub = att_of[s ^ low]
+                if f_table[a_sub] & ~fs:
                     f_mono = False
-                if gs & ~g_table[sub]:
+                if gs & ~g_table[a_sub]:
                     g_anti = False
                 rest ^= low
     else:
         rng = random.Random(SAMPLE_SEED + 1)
         for s, a in att_of.items():
             for _ in range(4):
-                sub = att(s & rng.getrandbits(n))
-                if f(sub) & ~f_table[a]:
+                a_sub = att(s & rng.getrandbits(n))
+                if f(a_sub) & ~f_table[a]:
                     f_mono = False
-                if g_table[a] & ~g(sub):
+                if g_table[a] & ~g(a_sub):
                     g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)
