@@ -77,7 +77,9 @@ def _ids_without(fw: Framework, sources: list[int]) -> tuple[str, ...]:
 # only on the set it attacks, so their kernels, _defended and
 # _not_attacked, take that attacked set as their only input: self_check
 # calls them once per distinct attacked set in its pool, not once per
-# subset, reading each subset's attacked set from _attacked_lookup.
+# subset. On the exhaustive pool it lists every subset's attacked set by
+# doubling a list once per argument; _attacked_lookup serves the sampled
+# pool and single sets.
 
 def _attacked_by(fw: Framework, s: int) -> int:
     targets = fw.attack_targets_mask
@@ -422,10 +424,12 @@ def self_check(fw: Framework) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
     The pool is every subset when the framework is small, and a seeded
-    random sample above MAX_EXHAUSTIVE arguments. Each subset's attacked
-    set is read once from a table built for this call (_attacked_lookup,
-    one row of 256 masks per 8 arguments), and weak conflict-freeness is
-    computed once per subset from it. f_step and g_step read only the
+    random sample above MAX_EXHAUSTIVE arguments. On the exhaustive pool
+    the attacked sets come in subset order from doubling a list once per
+    argument; on the sampled pool, and for single sets, they are read
+    from a table built for this call (_attacked_lookup, one row of 256
+    masks per 8 arguments). Weak conflict-freeness is computed once per
+    subset from its attacked set. f_step and g_step read only the
     attacked set, so the pool falls into classes of subsets sharing one,
     and _defended and _not_attacked run once per class; sets outside the
     pool that the laws reach join the same class tables, so the laws
@@ -437,14 +441,23 @@ def self_check(fw: Framework) -> SelfCheckReport:
     raises: extension laws run on the exhaustive pool only.
 
     On the exhaustive pool, f_monotone and g_antimonotone compare each
-    subset with itself minus one member (covering pairs), and
+    subset t with t plus one member i outside it (covering pairs), and
     stable_maximal_conflict_free adds one member to each stable set. The
     verdicts are those of all subset pairs and all supersets: every chain
-    of removals stays in the pool, so a violating pair has a violating
+    of additions stays in the pool, so a violating pair has a violating
     covering pair on its chain, and any subset of a conflict-free set is
-    conflict-free. The sampled pool keeps four random sub-subsets per
-    member for monotonicity. Extension laws need full enumeration and are
-    skipped above MAX_EXHAUSTIVE.
+    conflict-free. A covering pair (t, t | {i}) is the class pair (a, a |
+    targets[i]), a the attacked set of t, so covering pairs are checked
+    once per class, with no walk over subsets: class a is paired with a |
+    targets[i] for every argument i. An i that some member of a lacks
+    gives the class pair of a covering pair; an i that every member
+    holds has targets[i] within a, and the pair (a, a) holds trivially.
+    So the verdicts are those of the covering pairs, and no per-class
+    meet of members is needed to pick the i. The sampled pool
+    keeps four random sub-subsets per member for monotonicity, drawn one
+    member at a time, and checks their distinct attacked sets against
+    the member's f_step and g_step. Extension laws need full enumeration
+    and are skipped above MAX_EXHAUSTIVE.
 
     grounded_is_fixed_point and grounded_is_union_of_f_chain cross-check
     two independent algorithms: grounded_extension labels by attacker
@@ -455,8 +468,17 @@ def self_check(fw: Framework) -> SelfCheckReport:
     n = len(fw.arguments)
     full = (1 << n) - 1
     exhaustive = n <= MAX_EXHAUSTIVE
+    targets = fw.attack_targets_mask
     lookup = _attacked_lookup(fw)
-    att_of = {s: lookup(s) for s in _subset_pool(n)}
+    if exhaustive:
+        # The subsets with bit i set are those without it plus i, so one
+        # doubling per argument lists every attacked set in subset order.
+        att_list = [0]
+        for t in targets:
+            att_list += [a | t for a in att_list]
+        att_of = dict(enumerate(att_list))
+    else:
+        att_of = {s: lookup(s) for s in _subset_pool(n)}
     class_size = Counter(att_of.values())
     # f_table[a] and g_table[a] are f_step and g_step of every set
     # attacking exactly a.
@@ -522,26 +544,31 @@ def self_check(fw: Framework) -> SelfCheckReport:
     f_mono = True
     g_anti = True
     if exhaustive:
-        for s, a in att_of.items():
-            fs = f_table[a]
-            gs = g_table[a]
-            rest = s
-            while rest:
-                low = rest & -rest
-                a_sub = att_of[s ^ low]
-                if f_table[a_sub] & ~fs:
+        # Adding i to a member of class a gives a member of class
+        # a | targets[i], the member itself when it holds i, so pairing
+        # every class with every i covers each covering pair and adds only
+        # pairs (a, a), which hold.
+        for a in class_size:
+            fa = f_table[a]
+            ga = g_table[a]
+            for t in targets:
+                a_sup = a | t
+                if fa & ~f_table[a_sup]:
                     f_mono = False
-                if gs & ~g_table[a_sub]:
+                if g_table[a_sup] & ~ga:
                     g_anti = False
-                rest ^= low
     else:
         rng = random.Random(SAMPLE_SEED + 1)
         for s, a in att_of.items():
-            for _ in range(4):
-                a_sub = att(s & rng.getrandbits(n))
-                if f(a_sub) & ~f_table[a]:
+            fs = f_table[a]
+            gs = g_table[a]
+            for a_sub in {lookup(s & rng.getrandbits(n)) for _ in range(4)}:
+                if a_sub not in f_table:
+                    f_table[a_sub] = _defended(fw, a_sub)
+                    g_table[a_sub] = _not_attacked(fw, a_sub)
+                if f_table[a_sub] & ~fs:
                     f_mono = False
-                if g_table[a] & ~g(a_sub):
+                if gs & ~g_table[a_sub]:
                     g_anti = False
     record("f_monotone", f_mono)
     record("g_antimonotone", g_anti)

@@ -5,9 +5,9 @@ structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
 under test, except the walks at the end: supports_walk_oracle,
-subbase_walk_oracle and scan_fixed_points keep the exhaustive subset
-walks and extension scan the package ran before its pruned ones, as
-references for them.
+subbase_walk_oracle, scan_fixed_points and covering_pair_oracle keep the
+exhaustive subset walks, extension scan and covering-pair walk the
+package ran before its pruned or per-class ones, as references for them.
 """
 
 from __future__ import annotations
@@ -341,3 +341,29 @@ def scan_fixed_points(fw, mode: str, step) -> list[frozenset]:
     ]
     found.sort(key=lambda s: (s.bit_count(), s))
     return [semantics._ids_of(fw, s) for s in found]
+
+
+def covering_pair_oracle(fw, defended, not_attacked) -> tuple[bool, bool]:
+    """self_check's f_monotone and g_antimonotone verdicts on the exhaustive pool.
+
+    The per-subset walk self_check ran before it paired classes through
+    their meets: each subset S is compared with S minus each of its
+    members. defended and not_attacked are the f_step and g_step kernels,
+    applied once to each subset's attacked set, so a planted kernel can
+    be passed in to compare failing verdicts too.
+    """
+    n = len(fw.arguments)
+    att = [semantics._attacked_by(fw, s) for s in range(1 << n)]
+    f_of = [defended(fw, a) for a in att]
+    g_of = [not_attacked(fw, a) for a in att]
+    f_mono = g_anti = True
+    for s in range(1 << n):
+        rest = s
+        while rest:
+            low = rest & -rest
+            if f_of[s ^ low] & ~f_of[s]:
+                f_mono = False
+            if g_of[s] & ~g_of[s ^ low]:
+                g_anti = False
+            rest ^= low
+    return f_mono, g_anti

@@ -527,6 +527,24 @@ class TestSelfCheck:
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "fail"
 
+    def test_every_sampled_draw_reaches_the_kernels(self, monkeypatch):
+        # Replay the four sub-subsets per member in draw order: the set
+        # each attacks goes to both kernels. On a chain nearly every draw
+        # attacks a set of its own, so a lost or reordered draw shows.
+        n = MAX_EXHAUSTIVE + 1
+        fw = chain(n)
+        rng = random.Random(semantics.SAMPLE_SEED + 1)
+        drawn = {semantics._attacked_by(fw, s & rng.getrandbits(n))
+                 for s in semantics._subset_pool(n) for _ in range(4)}
+        seen = {"_defended": set(), "_not_attacked": set()}
+        for name, got in seen.items():
+            real = getattr(semantics, name)
+            monkeypatch.setattr(semantics, name, lambda fw, a, real=real, got=got: (
+                got.add(a) or real(fw, a)))
+        assert self_check(fw).ok
+        for got in seen.values():
+            assert drawn <= got
+
     def test_thousand_argument_chain_stays_small(self):
         # The attacked-set table holds 256 masks per 8 arguments and lives
         # only for one call.
@@ -556,6 +574,54 @@ class TestSelfCheck:
         monkeypatch.setattr(semantics, name, build(getattr(semantics, name)))
         status = {r.name: r.status for r in self_check(fw).results}
         assert status[law] == "fail"
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
+    @pytest.mark.parametrize("prefs", randgen.PREF_STYLES)
+    def test_monotonicity_verdicts_match_covering_pair_oracle(self, monkeypatch, prefs, planted):
+        # Sizes 0-12 take the exhaustive pool, where self_check pairs each
+        # attacked-set class with each argument's targets and the oracle
+        # walks every covering pair. A planted run flips one bit of one kernel at one drawn
+        # attacked set, so failing verdicts are compared too.
+        rng = random.Random(f"covering:{prefs}:{planted}")
+        seen = set()
+        for k in range(39):
+            n = k % (MAX_EXHAUSTIVE + 1)
+            fw = randgen.random_framework(rng, n, prefs, mutual=min(k % 3, n // 2))
+            kernels = {"_defended": semantics._defended,
+                       "_not_attacked": semantics._not_attacked}
+            if planted and n:
+                name = rng.choice(sorted(kernels))
+                at = semantics._attacked_by(fw, rng.getrandbits(n))
+                bit = 1 << rng.randrange(n)
+                kernels[name] = lambda fw, a, real=kernels[name], at=at, bit=bit: (
+                    real(fw, a) ^ bit if a == at else real(fw, a))
+                monkeypatch.setattr(semantics, name, kernels[name])
+            status = {r.name: r.status for r in self_check(fw).results}
+            verdicts = oracles.covering_pair_oracle(
+                fw, kernels["_defended"], kernels["_not_attacked"])
+            assert (status["f_monotone"] == "pass",
+                    status["g_antimonotone"] == "pass") == verdicts
+            monkeypatch.undo()
+            seen.update(zip(("f_monotone", "g_antimonotone"), verdicts))
+        if planted:
+            assert {("f_monotone", False), ("g_antimonotone", False)} <= seen
+        else:
+            assert seen == {("f_monotone", True), ("g_antimonotone", True)}
+
+    @pytest.mark.parametrize("n", range(MAX_EXHAUSTIVE + 1))
+    def test_exhaustive_attacked_sets_match_attacked_by(self, monkeypatch, n):
+        # self_check hands each pool subset's attacked set to
+        # _conflict_free_mask, so the calls show the list built by
+        # doubling; at n = 0 the pool is [0].
+        rng = random.Random(f"doubling:{n}")
+        fw = randgen.random_framework(rng, n, randgen.PREF_STYLES[n % 3], mutual=n // 4)
+        given = {}
+        real = semantics._conflict_free_mask
+        monkeypatch.setattr(semantics, "_conflict_free_mask", lambda fw, s, mode, *r: (
+            given.setdefault(s, set()).update(r) or real(fw, s, mode, *r)))
+        self_check(fw)
+        assert sorted(given) == list(range(1 << n))
+        assert all(given[s] == {semantics._attacked_by(fw, s)} for s in given)
 
     def test_planted_intransitive_preference_fails(self):
         # Raw masks that skip the closure: A is above B and B above C, but
