@@ -558,6 +558,8 @@ def self_check(fw: Framework) -> SelfCheckReport:
                 if g_table[a_sup] & ~ga:
                     g_anti = False
     else:
+        # Both tables hold the pool's classes so far, so a draw's attacked
+        # set is missing from both or from neither.
         rng = random.Random(SAMPLE_SEED + 1)
         for s, a in att_of.items():
             fs = f_table[a]

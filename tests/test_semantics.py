@@ -580,8 +580,9 @@ class TestSelfCheck:
     def test_monotonicity_verdicts_match_covering_pair_oracle(self, monkeypatch, prefs, planted):
         # Sizes 0-12 take the exhaustive pool, where self_check pairs each
         # attacked-set class with each argument's targets and the oracle
-        # walks every covering pair. A planted run flips one bit of one kernel at one drawn
-        # attacked set, so failing verdicts are compared too.
+        # walks every covering pair. A planted run flips one bit of one
+        # kernel at one drawn attacked set, so failing verdicts are
+        # compared too.
         rng = random.Random(f"covering:{prefs}:{planted}")
         seen = set()
         for k in range(39):
