@@ -19,9 +19,11 @@ for no preference at all. `certainty_masks` builds one mask per level,
 and `preference_closure` closes explicit pairs in one pass over the
 strongly connected components of their graph, so the closure costs
 O(n + m) mask ORs. Defeats are held the same way, one target mask per
-argument, from the builders to the semantics. The attack filter is one
-test per defeat: the defeat of A by B is dropped iff B is in A's mask
-and A is not in B's.
+argument, from the builders to the semantics. The defeater masks come
+from one transpose of the target masks. With no preference the attack
+lists are the defeat lists. Otherwise the defeat of A by B is dropped
+iff B is in A's mask and A is not in B's, so the test runs only on the
+targets A of B that B's own mask leaves out.
 
 Abstract frameworks can also be read from fact files:
 
@@ -167,9 +169,14 @@ class Framework:
     of preference[i] says argument i is at least as preferred as j; a
     preference of None prefers nothing and keeps every defeat. Each list
     holds one mask per argument, with no bit past the last position. The
-    attack and defeater masks follow at construction, by the rule above.
-    `defeats` and `attacks` read the edges back as id pairs in position
-    order on each access. Instances are immutable in use.
+    derived masks follow at construction, by the rule above: the
+    defeaters by one transpose of the targets; with no preference, the
+    attack lists are the defeat lists themselves; with one, copies from
+    which the drop test removes edges, tried only on the targets that
+    the attacker does not rank at least as high as. `defeats` and
+    `attacks` read the edges back as id pairs in position order on each
+    access. Instances are immutable in use, which is what lets the lists
+    be shared.
     """
 
     def __init__(
@@ -192,16 +199,32 @@ class Framework:
         self.preference_mask = pref = (
             None if preference is None else _checked_masks(preference, n, "preference")
         )
-        self.defeaters_mask = [0] * n
-        self.attackers_mask = [0] * n
-        self.attack_targets_mask = [0] * n
+        self.defeaters_mask = defeaters = [0] * n
         for i, m in enumerate(targets):
-            for j in _bits(m):
-                self.defeaters_mask[j] |= 1 << i
-                # The defeat of j by i is dropped iff j is strictly preferred to i.
-                if pref is None or not (pref[j] >> i & 1 and not pref[i] >> j & 1):
-                    self.attack_targets_mask[i] |= 1 << j
-                    self.attackers_mask[j] |= 1 << i
+            bit = 1 << i
+            while m:
+                j = m.bit_length() - 1
+                m ^= 1 << j
+                defeaters[j] |= bit
+        if pref is None:
+            self.attack_targets_mask = targets
+            self.attackers_mask = defeaters
+            return
+        self.attack_targets_mask = attack = list(targets)
+        self.attackers_mask = attackers = list(defeaters)
+        for i, m in enumerate(targets):
+            # The defeat of j by i is dropped iff j is strictly preferred to
+            # i. A j that i ranks at least as high as never is, so only the
+            # other targets are tested.
+            m &= ~pref[i]
+            bit = 1 << i
+            while m:
+                j = m.bit_length() - 1
+                low = 1 << j
+                m ^= low
+                if pref[j] & bit:
+                    attack[i] ^= low
+                    attackers[j] ^= bit
 
     @property
     def defeats(self) -> tuple[tuple[str, str], ...]:

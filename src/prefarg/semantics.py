@@ -352,8 +352,12 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     """
     _check_mode(mode)
     grounded_ids, iterations = grounded_extension(fw)
-    grounded = _mask_of(fw, grounded_ids)
-    gfp_mask = _not_attacked(fw, _attacked_by(fw, grounded))
+    members = sorted(map(fw.position, grounded_ids))
+    targets = fw.attack_targets_mask
+    attacked = 0
+    for i in members:
+        attacked |= targets[i]
+    gfp_mask = _not_attacked(fw, attacked)
     capped = len(fw.arguments) > cap
     # f_step is g_step applied twice, so every stable extension is also a
     # complete one: one search for complete extensions yields both lists.
@@ -363,7 +367,7 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
         mode=mode,
         class_r=_ids_without(fw, fw.defeaters_mask),
         class_r_pref=_ids_without(fw, fw.attackers_mask),
-        grounded=_ordered_ids(fw, grounded),
+        grounded=tuple(fw.ids[i] for i in members),
         greatest_fixed_point=_ordered_ids(fw, gfp_mask),
         complete=tuple(_ordered_ids(fw, s) for s in complete),
         stable=tuple(_ordered_ids(fw, s) for s in stable),

@@ -127,6 +127,62 @@ def random_preference_graph(rng, n):
     return ids, pairs
 
 
+PREF_MASK_STYLES = ("none", "certainty", "cyclic", "raw")
+
+
+def random_preference_masks(rng, n, style):
+    """Preference masks over n positions: None, a total preorder by random
+    certainty levels, the closure of random pairs with a cycle, or raw
+    random masks, neither closed nor reflexive."""
+    if style == "none":
+        return None
+    if style == "certainty":
+        level = [rng.randint(1, 4) for _ in range(n)]
+        at_or_below = {
+            k: sum(1 << j for j in range(n) if level[j] >= k) for k in set(level)
+        }
+        return [at_or_below[k] for k in level]
+    if style == "cyclic":
+        ids, pairs = random_preference_graph(rng, n) if n else ([], [])
+        return preference_closure(pairs, ids)
+    return [rng.getrandbits(n) if n else 0 for _ in range(n)]
+
+
+def set_bits(mask):
+    """Positions of the set bits of mask, lowest first, read off its binary digits."""
+    digits = bin(mask)[:1:-1]
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
+
+
+def assert_derived_masks(targets, pref):
+    """The four edge lists of a framework match the per-pair rule: i defeats j
+    when bit j of targets[i] is set, and that defeat is dropped iff bit i is in
+    pref[j] and bit j is not in pref[i]."""
+    n = len(targets)
+    fw = Framework([Argument(id=f"N{i}") for i in range(n)], targets, pref, "abstract")
+    defeats = {(i, j) for i, m in enumerate(targets) for j in set_bits(m)}
+    attacks = {
+        (i, j) for i, j in defeats
+        if pref is None or not (pref[j] >> i & 1 and not pref[i] >> j & 1)
+    }
+
+    def by_source(masks):
+        assert len(masks) == n
+        return {(i, j) for i, m in enumerate(masks) for j in set_bits(m)}
+
+    def by_target(masks):
+        assert len(masks) == n
+        return {(i, j) for j, m in enumerate(masks) for i in set_bits(m)}
+
+    assert by_source(fw.defeat_targets_mask) == defeats
+    assert by_target(fw.defeaters_mask) == defeats
+    assert by_source(fw.attack_targets_mask) == attacks
+    assert by_target(fw.attackers_mask) == attacks
+
+
 class TestDefeatTests:
     def test_rebut_is_semantic(self):
         assert rebuts(concl("r"), concl("!r"))
@@ -325,6 +381,45 @@ class TestFrameworkClass:
     def test_defeats_sorted_by_position(self):
         fw = parse_abstract_framework("arg(A). arg(B). def(B,A). def(A,B).")
         assert fw.defeats == (("A", "B"), ("B", "A"))
+
+    @pytest.mark.parametrize("style", PREF_MASK_STYLES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 29, 30, 31, 45, 59, 60, 61, 70])
+    def test_derived_masks_follow_the_pair_rule(self, n, style):
+        rng = random.Random(f"{n}:{style}")
+        for _ in range(4):
+            density = rng.choice([0.05, 0.2, 0.5, 0.9])
+            targets = [
+                sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+            ]
+            for i in rng.sample(range(n), n // 3):
+                targets[i] |= 1 << i  # self-defeats
+            assert_derived_masks(targets, random_preference_masks(rng, n, style))
+
+    @pytest.mark.parametrize("targets,preference", [
+        ((0b111, 0b111, 0b111), (0b011, 0b110, 0b100)),
+        ((0b111, 0b111, 0b111), (0b000, 0b000, 0b000)),
+        ((0b110, 0b001, 0b011), (0b110, 0b101, 0b011)),
+        ((0b11, 0b11), (0b01, 0b11)),
+        ((0b10, 0b01), (0b10, 0b01)),
+    ], ids=["unclosed", "irreflexive-empty", "irreflexive", "one-sided", "swapped"])
+    def test_derived_masks_under_raw_preference_masks(self, targets, preference):
+        assert_derived_masks(list(targets), list(preference))
+
+    @pytest.mark.parametrize("n,style", [
+        (n, style) for n in (200, 1000, 3000) for style in PREF_MASK_STYLES
+    ])
+    def test_derived_masks_of_large_frameworks(self, n, style):
+        rng = random.Random(f"{n}:{style}")
+        targets = [0] * n
+        for _ in range(2 * n):
+            targets[rng.randrange(n)] |= 1 << rng.randrange(n)
+        # Bits on each side of Python's 30-bit int digits, as attackers,
+        # targets and self-defeats.
+        edges = [k for d in range(30, n, 30) for k in (d - 1, d)]
+        for k in edges:
+            targets[k] |= 1 << rng.choice(edges) | 1 << rng.randrange(n) | 1 << k
+            targets[rng.randrange(n)] |= 1 << k
+        assert_derived_masks(targets, random_preference_masks(rng, n, style))
 
 
 class TestAbstractParsing:

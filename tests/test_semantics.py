@@ -282,6 +282,72 @@ class TestAgainstOracles:
             assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
 
 
+def large_af_text(rng, n, with_prefs):
+    """n arguments, 2n random defeat facts and, with prefs, n random
+    preference facts, 16 arg facts to a line."""
+    ids = [f"x{i}" for i in range(n)]
+    lines = [" ".join(f"arg({x})." for x in ids[i:i + 16]) for i in range(0, n, 16)]
+    lines += [f"def({rng.choice(ids)},{rng.choice(ids)})." for _ in range(2 * n)]
+    if with_prefs:
+        lines += [f"pref({rng.choice(ids)},{rng.choice(ids)})." for _ in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def grounded_by_attacker_sets(ids, attacks):
+    """grounded_rounds_oracle with each argument's attackers gathered once,
+    so a round costs O(n + m) set operations and 3000 arguments stay cheap."""
+    attackers = {x: set() for x in ids}
+    for a, b in attacks:
+        attackers[b].add(a)
+    s = frozenset()
+    iterations = 0
+    while True:
+        hit = oracles.attacked_by(attacks, s)
+        nxt = frozenset(x for x in ids if attackers[x] <= hit)
+        iterations += 1
+        if nxt == s:
+            return s, iterations
+        s = nxt
+
+
+class TestEvaluateAgainstOracles:
+    """The parts of evaluate that are never capped, against set-based oracles."""
+
+    def check(self, fw, rounds):
+        ids = fw.ids
+        attacks, defeats = set(fw.attacks), set(fw.defeats)
+        grounded, iterations = rounds(ids, attacks)
+        gfp = frozenset(ids) - oracles.attacked_by(attacks, grounded)
+        attacked, defeated = {b for _, b in attacks}, {b for _, b in defeats}
+
+        def ordered(s):
+            return tuple(x for x in ids if x in s)
+
+        rep = evaluate(fw, cap=0)
+        assert rep.grounded == ordered(grounded)
+        assert rep.iterations == iterations
+        assert rep.greatest_fixed_point == ordered(gfp)
+        assert rep.unique_complete == oracles.conflict_free_oracle(attacks, gfp)
+        assert rep.class_r == ordered(frozenset(ids) - defeated)
+        assert rep.class_r_pref == ordered(frozenset(ids) - attacked)
+
+    @pytest.mark.parametrize("prefs", randgen.PREF_STYLES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 13, 21, 30, 31, 45, 60, 70])
+    def test_random_frameworks(self, n, prefs):
+        rng = random.Random(f"{n}:{prefs}")
+        for _ in range(3):
+            fw = randgen.random_framework(rng, n, prefs)
+            self.check(fw, oracles.grounded_rounds_oracle)
+
+    @pytest.mark.parametrize("with_prefs", [False, True], ids=["no-prefs", "prefs"])
+    @pytest.mark.parametrize("n", [1000, 2000, 3000])
+    def test_large_frameworks(self, n, with_prefs):
+        text = large_af_text(random.Random(n), n, with_prefs)
+        fw = parse_abstract_framework(text)
+        assert (len(fw.attacks) < len(fw.defeats)) == with_prefs  # some defeats are dropped
+        self.check(fw, grounded_by_attacker_sets)
+
+
 class TestKernelsAgainstOracles:
     """The bitmask operators against their set definitions, up to 70 arguments."""
 
