@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 from .errors import CapExceededError
 from .formulas import Formula, TruthTable, _table_for, negate_canonical, render, unique_formulas
@@ -35,9 +35,13 @@ from .kb import BeliefRef, StratifiedKB
 DEFAULT_CAP = 20
 
 
-@dataclass(frozen=True)
-class Argument:
-    """A supported conclusion; abstract arguments carry an id only."""
+class Argument(NamedTuple):
+    """A supported conclusion; abstract arguments carry an id only.
+
+    Tuple-backed: instances are immutable, hold no `__dict__`, and
+    compare and hash as the plain tuple of their five fields, so an
+    argument equals a tuple with the same fields.
+    """
 
     id: str
     support: tuple[BeliefRef, ...] | None = None

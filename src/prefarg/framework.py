@@ -34,6 +34,15 @@ Abstract frameworks can also be read from fact files:
 `%` starts a comment and facts may share a line. Explicit preference
 facts are closed under reflexivity and transitivity; cycles collapse
 into equivalences, as a preorder allows.
+
+The parser matches one fact at a time with one regex and keeps flat
+lists: a dict from each declared name to its position, the defeats as
+two name lists (sources and sinks), and the preference pairs. Text that
+is no fact, a fact with the wrong number of names or a duplicate `arg`
+stops the read at its line. Names are checked once the read is done,
+while the defeat-target masks are built: every defeat in file order,
+source before sink, then every preference pair. So a `def` may precede
+the `arg` facts that declare its names.
 """
 
 from __future__ import annotations
@@ -291,18 +300,25 @@ _FACT_RE = re.compile(
 def parse_abstract_framework(text: str) -> Framework:
     """Read `arg`, `def` and `pref` facts into a framework of abstract arguments."""
     index: dict[str, int] = {}
-    defs: list[tuple[str, str]] = []
+    sources: list[str] = []
+    sinks: list[str] = []
     prefs: list[tuple[str, str]] = []
+    match_fact = _FACT_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].rstrip()
-        pos = 0
-        while pos < len(line):
-            match = _FACT_RE.match(line, pos)
+        pos, end = 0, len(line)
+        while pos < end:
+            match = match_fact(line, pos)
             if match is None:
                 snippet = line[pos:].strip()[:30]
                 raise AFFormatError(f"line {lineno}: cannot parse fact near {snippet!r}")
-            kind, x, y = match.group(1), match.group(2), match.group(3)
-            if kind == "arg":
+            kind, x, y = match.groups()
+            if kind == "def":
+                if y is None:
+                    raise AFFormatError(f"line {lineno}: def() takes two names")
+                sources.append(x)
+                sinks.append(y)
+            elif kind == "arg":
                 if y is not None:
                     raise AFFormatError(f"line {lineno}: arg() takes one name")
                 if x in index:
@@ -310,14 +326,17 @@ def parse_abstract_framework(text: str) -> Framework:
                 index[x] = len(index)
             else:
                 if y is None:
-                    raise AFFormatError(f"line {lineno}: {kind}() takes two names")
-                (defs if kind == "def" else prefs).append((x, y))
+                    raise AFFormatError(f"line {lineno}: pref() takes two names")
+                prefs.append((x, y))
             pos = match.end()
-    for x, y in defs + prefs:
-        if x not in index or y not in index:
-            raise AFFormatError(f"fact names undeclared argument {x if x not in index else y!r}")
     targets = [0] * len(index)
-    for x, y in defs:
-        targets[index[x]] |= 1 << index[y]
+    try:
+        for x, y in zip(sources, sinks):
+            i = index[x]  # the source's name is checked before the sink's
+            targets[i] |= 1 << index[y]
+        for x, y in prefs:
+            index[x], index[y]  # raises on an undeclared name, as above
+    except KeyError as err:
+        raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
     preference = preference_closure(prefs, index) if prefs else None
-    return Framework(tuple(Argument(id=n) for n in index), targets, preference, "abstract")
+    return Framework(tuple(map(Argument, index)), targets, preference, "abstract")

@@ -54,7 +54,8 @@ def _mask_of(fw: Framework, ids: Iterable[str]) -> int:
 
 
 def _ids_of(fw: Framework, mask: int) -> frozenset[str]:
-    return frozenset(fw.arguments[i].id for i in _bits(mask))
+    ids = fw.ids
+    return frozenset(ids[i] for i in _bits(mask))
 
 
 def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:

@@ -229,6 +229,40 @@ class TestBuildUniverse:
             build_universe(kb, cap=5)
 
 
+class TestArgumentTuple:
+    def test_attributes_cannot_be_assigned(self):
+        arg = Argument(id="X")
+        with pytest.raises(AttributeError):
+            arg.id = "Y"
+        with pytest.raises(AttributeError):
+            arg.note = "extra"
+        assert arg.id == "X"
+
+    def test_instances_have_no_dict(self):
+        assert not hasattr(Argument(id="X"), "__dict__")
+        assert not hasattr(build_universe(example2()).arguments[0], "__dict__")
+
+    def test_describe_and_is_abstract(self):
+        abstract = Argument("X")
+        assert abstract.is_abstract
+        assert abstract.describe() == "X"
+        a4 = build_universe(example2()).argument("A4")
+        assert not a4.is_abstract
+        assert a4.describe() == "A4: ({a, a -> b}, b) @2"
+
+    def test_equal_arguments_hash_equal(self):
+        one, two = build_universe(example2()).arguments, build_universe(example2()).arguments
+        assert all(x == y and x is not y and hash(x) == hash(y) for x, y in zip(one, two))
+        assert Argument("X") == Argument(id="X", level=None)
+        assert hash(Argument("X")) == hash(Argument(id="X"))
+        assert Argument("X") != Argument("Y")
+        assert Argument("X") != Argument("X", level=1)
+
+    def test_compares_as_its_fields(self):
+        assert Argument("X", level=2) == ("X", None, None, None, 2)
+        assert tuple(Argument("X")) == ("X", None, None, None, None)
+
+
 class TestSuppOf:
     def test_union_of_supports(self):
         universe = build_universe(example2())

@@ -474,11 +474,29 @@ class TestAbstractParsing:
         ("arg(A). pref(Z,A).", "undeclared"),
         ("arg(A). defeat(A,A).", "cannot parse"),
         ("arg(A) def(A,A).", "cannot parse"),
+        # Which error wins when a text has several: a fact's own arity
+        # before the junk after it, every def before any pref, and within
+        # the defs, fact order first and the source before the sink.
+        ("arg(A,B). junk", "line 1: arg() takes one name"),
+        ("pref(A).", "line 1: pref() takes two names"),
+        ("pref(Z,A). def(A,Y). arg(A).", "undeclared argument 'Y'"),
+        ("arg(A). def(A,Y). def(Z,A).", "undeclared argument 'Y'"),
+        ("arg(A). def(Z,Y).", "undeclared argument 'Z'"),
+        ("arg(A). pref(A,Y). pref(Z,A).", "undeclared argument 'Y'"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(AFFormatError) as err:
             parse_abstract_framework(text)
         assert fragment in str(err.value)
+
+    def test_defeats_before_their_declarations_give_the_same_masks(self):
+        decls = "arg(A). arg(B). arg(C).\n"
+        facts = "def(A,B). def(C,A). def(B,B). pref(A,C). pref(C,B).\n"
+        after, before = parse_abstract_framework(decls + facts), parse_abstract_framework(facts + decls)
+        assert before.ids == after.ids == ("A", "B", "C")
+        assert before.defeat_targets_mask == after.defeat_targets_mask == [0b010, 0b010, 0b001]
+        assert before.preference_mask == after.preference_mask
+        assert before.attack_targets_mask == after.attack_targets_mask
 
     @pytest.mark.parametrize("seed", range(20))
     def test_attacks_match_oracle_under_cyclic_preferences(self, seed):
@@ -501,3 +519,53 @@ class TestAbstractParsing:
         assert one.ids == two.ids
         assert one.defeats == two.defeats
         assert one.attacks == two.attacks
+
+
+def af_large_text(rng, n, with_prefs):
+    """A `.af` text shaped like the benchmark's large frameworks, with its fact lists.
+
+    n arguments, 2n random defeats and, with_prefs, n random preference
+    pairs; one to sixteen facts per line, spacing inside some facts, and
+    comments, some of which hold facts that must be ignored.
+    """
+    ids = [f"x{i}" for i in range(n)]
+    defs = [(rng.choice(ids), rng.choice(ids)) for _ in range(2 * n)]
+    prefs = [(rng.choice(ids), rng.choice(ids)) for _ in range(n)] if with_prefs else []
+    facts = [f"arg({x})." for x in ids]
+    facts += [f"def({x},{y})." if rng.random() < 0.8 else f"def( {x} , {y} ) ." for x, y in defs]
+    facts += [f"pref({x},{y})." for x, y in prefs]
+    lines, k = [], 0
+    while k < len(facts):
+        step = rng.randint(1, 16)
+        line = rng.choice([" ", "  ", "\t"]).join(facts[k:k + step])
+        if rng.random() < 0.1:
+            line += rng.choice(["  % trailing", " %def(x0,nowhere).", "%"])
+        lines.append(line)
+        if rng.random() < 0.02:
+            lines.append(rng.choice(["", "% arg(x0).", "   "]))
+        k += step
+    return "\n".join(lines) + "\n", ids, defs, prefs
+
+
+class TestParserAgainstFactLists:
+    """The parser's masks equal a framework built straight from the fact lists."""
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    @pytest.mark.parametrize("with_prefs", [False, True], ids=["no-pref", "pref"])
+    def test_large_texts(self, n, with_prefs):
+        rng = random.Random(f"af-large-text:{n}:{with_prefs}")
+        text, ids, defs, prefs = af_large_text(rng, n, with_prefs)
+        position = {x: i for i, x in enumerate(ids)}
+        targets = [0] * n
+        for x, y in set(defs):
+            targets[position[x]] += 1 << position[y]
+        reference = Framework(
+            [Argument(id=x) for x in ids], targets,
+            preference_closure(prefs, ids) if prefs else None, "abstract",
+        )
+        fw = parse_abstract_framework(text)
+        assert fw.ids == reference.ids
+        assert fw.arguments == reference.arguments
+        assert fw.defeat_targets_mask == reference.defeat_targets_mask
+        assert fw.preference_mask == reference.preference_mask
+        assert fw.attack_targets_mask == reference.attack_targets_mask
