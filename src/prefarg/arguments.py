@@ -5,8 +5,11 @@ consistent with the core and entails a conclusion) with that conclusion
 and the certainty level of the support. Conclusions range over a finite
 candidate pool: every belief, the canonical negation of every belief,
 and the optional query with its negation. The pool is closed under
-canonical negation, which is exactly what the rebut and undercut
-relations need to find their counterarguments.
+negation up to equivalence: the complement of every candidate's truth
+mask is the mask of some candidate. It need not hold the canonical
+negation itself: a lone `!!a` brings `!a` but not `a`. Equivalence is
+what the rebut and undercut relations need, since build_framework finds
+counterarguments by truth mask.
 
 Supports come from one depth-first walk over the belief subsets that
 are consistent with the core and irredundant: every member rules out
@@ -132,20 +135,51 @@ def _supports_by_conclusion(
     exactly j's own models, so that test is one mask per member.
     Dropping the last member gives the subset's parent in the walk, so
     only the conclusions its parent leaves open are tested.
+
+    Conclusions with one truth mask have the same supports, so the walk
+    tests each mask once and records each support for every conclusion
+    with that mask. A mask m is tested together with its complement,
+    full ^ m, as one pair: with x the node's models outside m, x == 0
+    means the node entails m, and x == model means it entails the
+    complement. A side that no conclusion has records nothing. Either
+    outcome closes the pair below the node. A descendant's model is a
+    non-empty subset of this node's. It entails the side entailed here,
+    but as a strict superset of this node, so it is no minimal support
+    for that side, and it never entails the other side, which holds
+    nowhere in this node's model. Supports are kept as belief positions
+    until they are sorted: refs run stratum by stratum, so positions
+    sort as refs do.
     """
     refs, table, core_mask, masks = _belief_masks(kb, conclusions, cap)
-    outside = [table.full ^ table.mask(c) for c in conclusions]
-    found: list[list[tuple[BeliefRef, ...]]] = [[] for _ in conclusions]
-    # (subset, its model, each member's own models, conclusions the parent leaves open)
-    pending = [((), core_mask, [], range(len(conclusions)))] if core_mask else []
+    mask_of = [table.mask(c) for c in conclusions]
+    groups: dict[int, list[tuple[int, ...]]] = {m: [] for m in mask_of}
+    # (models outside side a, outside side b, side a's supports, side b's or None)
+    pairs = []
+    for m, found in groups.items():
+        other = table.full ^ m
+        if other not in groups or m < other:
+            pairs.append((other, m, found, groups.get(other)))
+    # (subset, its model, each member's own models, pairs the parent leaves open)
+    pending = [((), core_mask, [], pairs)] if core_mask else []
     while pending:
         combo, model, own, parent_open = pending.pop()
         still = []
-        for k in parent_open:
-            if model & outside[k]:
-                still.append(k)
-            elif all(o & outside[k] for o in own):
-                found[k].append(tuple(refs[i] for i in combo))
+        for pair in parent_open:
+            x = model & pair[0]
+            if not x:
+                out, got = pair[0], pair[2]
+            elif x == model:
+                out, got = pair[1], pair[3]
+                if got is None:
+                    continue
+            else:
+                still.append(pair)
+                continue
+            for o in own:
+                if not o & out:
+                    break
+            else:
+                got.append(combo)
         for i in range(len(masks) - 1, combo[-1] if combo else -1, -1):
             child = model & masks[i]
             if not child or child == model:
@@ -154,9 +188,9 @@ def _supports_by_conclusion(
             if all(child_own):
                 child_own.append(model ^ child)
                 pending.append((combo + (i,), child, child_own, still))
-    for supports in found:
-        supports.sort(key=lambda s: (len(s), s))
-    return found, table
+    for found in groups.values():
+        found.sort(key=lambda s: (len(s), s))
+    return [[tuple(refs[i] for i in s) for s in groups[m]] for m in mask_of], table
 
 
 def minimal_supports(
@@ -183,14 +217,16 @@ def build_universe(
     found, table = _supports_by_conclusion(kb, candidates, cap)
     entries: list[tuple[int, tuple[BeliefRef, ...], str, Formula]] = []
     for c, supports in zip(candidates, found):
+        text = render(c)
         for support in supports:
-            entries.append((kb.certainty_level(support), support, render(c), c))
+            entries.append((support[-1].stratum if support else 0, support, text, c))
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    formulas = dict(kb.beliefs())
     arguments = tuple(
         Argument(
             id=f"A{k}",
             support=support,
-            support_formulas=tuple(kb.resolve(r) for r in support),
+            support_formulas=tuple(formulas[r] for r in support),
             conclusion=c,
             level=level,
         )

@@ -17,7 +17,7 @@ from prefarg.arguments import (
 )
 from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
-from prefarg.kb import BeliefRef, parse_kb
+from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
 
 
 def example2():
@@ -74,6 +74,19 @@ class TestCandidates:
             for f in pool:
                 assert negate_canonical(f) in pool
 
+    def test_closed_under_negation_up_to_equivalence(self):
+        # a lone double negation brings !a but not a, yet !a still has a's complement mask
+        lone = parse_kb("[stratum 1]\n!!a\n[stratum 2]\nb\n")
+        assert [render(f) for f in candidate_conclusions(lone)] == ["!!a", "!a", "b", "!b"]
+        bases = [(lone, None)]
+        for seed in range(30):
+            base, universe = randgen.random_kb(random.Random(seed))
+            bases.append((base, universe.query))
+        for base, query in bases:
+            table = build_universe(base, query).table
+            masks = {table.mask(f) for f in candidate_conclusions(base, query)}
+            assert all(table.full ^ m in masks for m in masks)
+
 
 class TestMinimalSupports:
     def test_example2_single_support_for_b(self):
@@ -91,6 +104,14 @@ class TestMinimalSupports:
         # a & !a would entail anything; no consistent support may exist
         assert minimal_supports(example2(), parse_formula("a & !a")) == []
 
+    def test_conclusion_without_complementary_candidate(self):
+        # {!b} entails the complement of b, which is no conclusion here: nothing is
+        # recorded for it, and b's own support is still found
+        kb = parse_kb("[stratum 1]\n!b\n[stratum 2]\nb\n[stratum 3]\nc\n")
+        found = minimal_supports(kb, Atom("b"))
+        assert found == [(BeliefRef(2, 0),)]
+        assert [found] == oracles.supports_walk_oracle(kb, [Atom("b")])
+
     def test_cap_guard(self):
         kb = parse_kb("[stratum 1]\n" + "\n".join(f"p{i}" for i in range(6)) + "\n")
         with pytest.raises(CapExceededError):
@@ -107,7 +128,8 @@ class TestMinimalSupports:
             assert found == sorted(found, key=lambda s: (len(s), s))
 
 
-# Bases where the walk skips a belief or a whole branch as redundant.
+# Bases where the walk skips a belief or a whole branch as redundant, and bases whose
+# conclusion masks pair up unusually.
 PRUNED_BASES = {
     "equivalent-across-strata": (
         parse_kb("[stratum 1]\na\nb\n[stratum 2]\n!b | c\n[stratum 3]\n!!a\n!c\n"), None
@@ -119,7 +141,28 @@ PRUNED_BASES = {
         unchecked_kb((Atom("a"), negate_canonical(Atom("a"))), ((Atom("a"), Atom("b")),)), Atom("a")
     ),
     "foreign-query": (parse_kb("[stratum 1]\na\n!a | b\n[stratum 2]\n!b\n"), Atom("z")),
+    # a, the canonical negation of !a, is no candidate
+    "lone-double-negation": (parse_kb("[stratum 1]\n!!a\n[stratum 2]\nb\n"), None),
+    # the mask-0 conclusion pairs with the tautology !(a & !a), supported at level 0
+    "contradictory-belief": (parse_kb("[stratum 1]\na & !a\nb\n"), None),
+    # a, a & a and !!a share one truth mask
+    "one-mask-group": (parse_kb("[stratum 1]\na\n[stratum 2]\na & a\n[stratum 3]\n!!a\n"), None),
 }
+
+
+def benchmark_sized_kb(seed: int):
+    """A base of 10 to 13 distinct beliefs over six atoms in three strata, with a query."""
+    rng = random.Random(f"walk-size:{seed}")
+    names = randgen.ATOM_NAMES
+    n, beliefs = rng.randint(10, 13), []
+    while len(beliefs) < n:
+        f = parse_formula(randgen.random_formula_text(rng, names, rng.randint(0, 2)))
+        if f not in beliefs:
+            beliefs.append(f)
+    cuts = sorted(rng.sample(range(1, len(beliefs)), 2))
+    strata = (tuple(beliefs[: cuts[0]]), tuple(beliefs[cuts[0]: cuts[1]]), tuple(beliefs[cuts[1]:]))
+    query = parse_formula(randgen.random_formula_text(rng, names, 1))
+    return StratifiedKB((), strata), query
 
 
 class TestSupportWalk:
@@ -136,6 +179,15 @@ class TestSupportWalk:
     @pytest.mark.parametrize("case", sorted(PRUNED_BASES))
     def test_matches_full_walk_where_pruning_fires(self, case):
         base, query = PRUNED_BASES[case]
+        pool = candidate_conclusions(base, query)
+        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
+            oracles.supports_walk_oracle(base, pool)
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_full_walk_at_benchmark_size(self, seed):
+        base, query = benchmark_sized_kb(seed)
+        assert 10 <= len(base.belief_refs()) <= 13
         pool = candidate_conclusions(base, query)
         assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
             oracles.supports_walk_oracle(base, pool)
@@ -180,6 +232,13 @@ class TestBuildUniverse:
         for arg in universe.arguments:
             resolved = tuple(universe.kb.resolve(r) for r in arg.support)
             assert resolved == arg.support_formulas
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_level_and_formulas_match_the_kb_on_random_bases(self, seed):
+        base, universe = randgen.random_kb(random.Random(seed))
+        for arg in universe.arguments:
+            assert arg.level == base.certainty_level(arg.support)
+            assert arg.support_formulas == tuple(base.resolve(r) for r in arg.support)
 
     def test_definition_reverified(self):
         # the defining conditions, re-checked through the oracle
