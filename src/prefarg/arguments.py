@@ -67,13 +67,23 @@ class Argument(NamedTuple):
 @dataclass(frozen=True)
 class ArgumentUniverse:
     """Every argument a knowledge base yields for the candidate pool, and
-    the truth table its support walk built over the base and the pool."""
+    the truth table its support walk built over the base and the pool.
+
+    Three parallel tuples carry what the walk found past it, so that
+    later layers need no formula: belief_masks holds each belief's truth
+    mask, by position in kb.belief_refs(); support_masks holds each
+    argument's support as a mask over those positions; conclusion_masks
+    holds each argument's conclusion mask. All masks come from table.
+    """
 
     kb: StratifiedKB
     query: Formula | None
     candidates: tuple[Formula, ...]
     arguments: tuple[Argument, ...]
     table: TruthTable = field(compare=False, repr=False)
+    belief_masks: tuple[int, ...] = field(compare=False, repr=False)
+    support_masks: tuple[int, ...] = field(compare=False, repr=False)
+    conclusion_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def _by_id(self) -> dict[str, Argument]:
@@ -114,10 +124,13 @@ def _belief_masks(kb: StratifiedKB, extra: Iterable[Formula], cap: int):
     return refs, table, table.conjunction_mask(kb.core), [table.mask(kb.resolve(r)) for r in refs]
 
 
-def _supports_by_conclusion(
-    kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
-) -> tuple[list[list[tuple[BeliefRef, ...]]], TruthTable]:
-    """The minimal supports of each conclusion, in the order given, and the walk's table.
+def _walk_supports(kb: StratifiedKB, conclusions: Sequence[Formula], cap: int):
+    """The minimal supports of every conclusion mask, as belief positions.
+
+    Returns the belief refs, the walk's table, each belief's mask, each
+    conclusion's mask in the order given, and a dict from each of those
+    masks to its supports, sorted as position tuples. Refs run stratum
+    by stratum, so positions sort as refs do.
 
     One walk serves every conclusion. A subset grows only by beliefs
     above its highest member, and only into irredundant subsets: each
@@ -137,8 +150,8 @@ def _supports_by_conclusion(
     only the conclusions its parent leaves open are tested.
 
     Conclusions with one truth mask have the same supports, so the walk
-    tests each mask once and records each support for every conclusion
-    with that mask. A mask m is tested together with its complement,
+    tests each mask once and records each support once, under that
+    mask. A mask m is tested together with its complement,
     full ^ m, as one pair: with x the node's models outside m, x == 0
     means the node entails m, and x == model means it entails the
     complement. A side that no conclusion has records nothing. Either
@@ -146,9 +159,7 @@ def _supports_by_conclusion(
     non-empty subset of this node's. It entails the side entailed here,
     but as a strict superset of this node, so it is no minimal support
     for that side, and it never entails the other side, which holds
-    nowhere in this node's model. Supports are kept as belief positions
-    until they are sorted: refs run stratum by stratum, so positions
-    sort as refs do.
+    nowhere in this node's model.
     """
     refs, table, core_mask, masks = _belief_masks(kb, conclusions, cap)
     mask_of = [table.mask(c) for c in conclusions]
@@ -190,6 +201,14 @@ def _supports_by_conclusion(
                 pending.append((combo + (i,), child, child_own, still))
     for found in groups.values():
         found.sort(key=lambda s: (len(s), s))
+    return refs, table, masks, mask_of, groups
+
+
+def _supports_by_conclusion(
+    kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
+) -> tuple[list[list[tuple[BeliefRef, ...]]], TruthTable]:
+    """The minimal supports of each conclusion as refs, in the order given, and the walk's table."""
+    refs, table, _, mask_of, groups = _walk_supports(kb, conclusions, cap)
     return [[tuple(refs[i] for i in s) for s in groups[m]] for m in mask_of], table
 
 
@@ -211,28 +230,29 @@ def build_universe(
     """Enumerate every argument whose conclusion lies in the candidate pool.
 
     Arguments are sorted by (level, support refs, conclusion text) and
-    named A1, A2, ... so equal inputs always produce identical ids.
+    named A1, A2, ... so equal inputs always produce identical ids. The
+    walk's supports stay positions until here, where each argument's
+    refs, formulas and support mask are built from them.
     """
     candidates = candidate_conclusions(kb, query)
-    found, table = _supports_by_conclusion(kb, candidates, cap)
-    entries: list[tuple[int, tuple[BeliefRef, ...], str, Formula]] = []
-    for c, supports in zip(candidates, found):
-        text = render(c)
-        for support in supports:
-            entries.append((support[-1].stratum if support else 0, support, text, c))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    formulas = dict(kb.beliefs())
-    arguments = tuple(
-        Argument(
-            id=f"A{k}",
-            support=support,
-            support_formulas=tuple(formulas[r] for r in support),
-            conclusion=c,
-            level=level,
-        )
-        for k, (level, support, _, c) in enumerate(entries, start=1)
+    refs, table, masks, mask_of, groups = _walk_supports(kb, candidates, cap)
+    texts = [render(c) if groups[m] else "" for c, m in zip(candidates, mask_of)]
+    entries = sorted(
+        (refs[s[-1]].stratum if s else 0, s, texts[k], k)
+        for k, m in enumerate(mask_of) for s in groups[m]
     )
-    return ArgumentUniverse(kb, query, candidates, arguments, table)
+    formulas = [f for _, f in kb.beliefs()]
+    bits = [1 << i for i in range(len(refs))]
+    arguments = tuple(
+        Argument(f"A{n}", tuple(map(refs.__getitem__, s)), tuple(map(formulas.__getitem__, s)),
+                 candidates[k], level)
+        for n, (level, s, _, k) in enumerate(entries, start=1)
+    )
+    return ArgumentUniverse(
+        kb, query, candidates, arguments, table, tuple(masks),
+        tuple(sum(map(bits.__getitem__, e[1])) for e in entries),
+        tuple(mask_of[e[3]] for e in entries),
+    )
 
 
 def supp_of(arguments: Iterable[Argument]) -> frozenset[BeliefRef]:

@@ -218,6 +218,9 @@ def _accept_lines(report: dict) -> list[str]:
 
 def cmd_accept(args, universe, fw) -> int:
     report = evaluate(fw, args.mode, args.cap)
+    # Every conclusion is one of the candidate objects, so the query's own
+    # candidate picks its rows; an equivalent candidate keeps its own.
+    query = universe.candidates[universe.candidates.index(universe.query)]
     rows = [
         {
             "id": a.id,
@@ -227,7 +230,7 @@ def cmd_accept(args, universe, fw) -> int:
             "in_grounded": a.id in report.grounded,
             "in_stable": [a.id in e for e in report.stable],
         }
-        for a in universe.arguments if a.conclusion == universe.query
+        for a in universe.arguments if a.conclusion is query
     ]
     _write(args, {
         "query": render(universe.query),

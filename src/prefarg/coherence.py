@@ -16,15 +16,19 @@ preferred subbases, and the flat-base equivalence between the two
 pictures. That one reuses the universe's undercut defeats under no
 preference: collapsing the strata moves only belief references and
 levels, never a support or a conclusion, and nothing reads levels
-without a preference.
+without a preference. Past the walks, subbases and supports meet as
+masks over belief positions: an argument belongs to a subbase when its
+support mask has no bit outside the subbase's.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, _belief_masks, supp_of
+from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, _belief_masks
 from .formulas import Formula, render
 from .framework import Framework, build_framework
 from .kb import BeliefRef, StratifiedKB
@@ -90,21 +94,31 @@ def incl_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     return _subbase_lists(kb, cap)[1]
 
 
-def _common_refs(subbases: list[Subbase]) -> frozenset[BeliefRef]:
-    return frozenset(subbases[0].refs).intersection(*(sb.refs for sb in subbases[1:]))
-
-
 def max_consistent_subbases(kb: StratifiedKB, cap: int = DEFAULT_CAP) -> list[Subbase]:
     """Maximal selections consistent with the core, stratification ignored."""
     return _subbase_lists(kb, cap)[0]
 
 
+def _position_mask(kb: StratifiedKB, refs: Iterable[BeliefRef]) -> int:
+    """The refs as a mask over the positions of kb.belief_refs(); a ref
+    the base does not hold sets no bit."""
+    keep = set(refs)
+    return sum(1 << i for i, r in enumerate(kb.belief_refs()) if r in keep)
+
+
+def _refs_at(kb: StratifiedKB, mask: int) -> tuple[BeliefRef, ...]:
+    """The refs at the set bits of a belief-position mask, in base order."""
+    return tuple(r for i, r in enumerate(kb.belief_refs()) if mask >> i & 1)
+
+
 def arg_of(
     universe: ArgumentUniverse, subbase: Subbase | Iterable[BeliefRef]
 ) -> tuple[Argument, ...]:
-    """The universe members whose support lies inside the subbase."""
-    refs = set(subbase.refs) if isinstance(subbase, Subbase) else set(subbase)
-    return tuple(a for a in universe.arguments if refs >= set(a.support))
+    """The universe members whose support lies inside the subbase: those
+    whose support mask has no bit outside the subbase's mask."""
+    refs = subbase.refs if isinstance(subbase, Subbase) else subbase
+    outside = ~_position_mask(universe.kb, refs)
+    return tuple(a for a, s in zip(universe.arguments, universe.support_masks) if not s & outside)
 
 
 @dataclass(frozen=True)
@@ -128,8 +142,8 @@ class CorrespondenceReport:
         return all(c.status != "fail" for c in self.clauses)
 
 
-def _show_refs(kb: StratifiedKB, refs: Iterable[BeliefRef]) -> str:
-    return "{" + ", ".join(render(kb.resolve(r)) for r in sorted(refs)) + "}"
+def _show_refs(kb: StratifiedKB, mask: int) -> str:
+    return "{" + ", ".join(render(kb.resolve(r)) for r in _refs_at(kb, mask)) + "}"
 
 
 def check_correspondence(
@@ -165,7 +179,7 @@ def check_correspondence(
     clauses: list[ClauseResult] = []
 
     maximal, subbases = _subbase_lists(kb, cap)
-    common = _common_refs(subbases)
+    common = functools.reduce(operator.and_, (_position_mask(kb, sb.refs) for sb in subbases))
     ids_of = {sb: frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
 
     if fw is None:
@@ -189,15 +203,20 @@ def check_correspondence(
         bad,
     ))
 
+    def support_of(ids: Iterable[str]) -> int:
+        """The union of the named arguments' supports, as a belief-position mask."""
+        return functools.reduce(
+            operator.or_, (universe.support_masks[fw.position(i)] for i in ids), 0
+        )
+
     class_ids = class_cr_pref(fw)
-    class_args = [universe.argument(i) for i in sorted(class_ids)]
-    stray = supp_of(class_args) - common
+    stray = support_of(class_ids) & ~common
     clauses.append(ClauseResult(
         "class_support_within_intersection",
         "fail" if stray else "pass",
         f"support of {len(class_ids)} unattacked arguments against "
-        f"{len(common)} common references",
-        {"references": [render(kb.resolve(r)) for r in sorted(stray)]} if stray else None,
+        f"{common.bit_count()} common references",
+        {"references": [render(kb.resolve(r)) for r in _refs_at(kb, stray)]} if stray else None,
     ))
 
     outside = None
@@ -230,12 +249,11 @@ def check_correspondence(
     ))
 
     grounded_ids, _ = grounded_extension(fw)
-    grounded_support = supp_of([universe.argument(i) for i in grounded_ids])
     clauses.append(ClauseResult(
         "grounded_support_vs_intersection",
         "info",
-        f"grounded support {_show_refs(kb, grounded_support)}, "
+        f"grounded support {_show_refs(kb, support_of(grounded_ids))}, "
         f"common references {_show_refs(kb, common)}",
     ))
 
-    return CorrespondenceReport(tuple(clauses), tuple(subbases), common)
+    return CorrespondenceReport(tuple(clauses), tuple(subbases), frozenset(_refs_at(kb, common)))

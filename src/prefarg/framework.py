@@ -5,9 +5,11 @@ conclusion is equivalent to the negation of the other's conclusion; it
 undercuts the other when its conclusion is equivalent to the negation
 of some member of the other's support. Equivalence is semantic, so `r`
 rebuts `!r` as well as `!!!r`. The two kinds differ only in which
-formulas of the target are negated, so one keyed pass finds either:
-each target is filed under the truth masks of those negations, and each
-argument looks its own conclusion mask up once.
+formulas of the target are negated, so one keyed pass finds either,
+and it reads only the masks the universe carries past its support walk:
+each target is filed under the complement of its conclusion mask
+(rebut) or of the mask of each belief position in its support
+(undercut), and each argument looks its own conclusion mask up once.
 
 A preference preorder then filters defeats into attacks: a defeat of A
 by B becomes an attack unless A is strictly preferred to B, in which
@@ -40,9 +42,11 @@ lists: a dict from each declared name to its position, the defeats as
 two name lists (sources and sinks), and the preference pairs. Text that
 is no fact, a fact with the wrong number of names or a duplicate `arg`
 stops the read at its line. Names are checked once the read is done,
-while the defeat-target masks are built: every defeat in file order,
-source before sink, then every preference pair. So a `def` may precede
-the `arg` facts that declare its names.
+while the defeat-target masks and the preference graph's successor
+lists are built by position: every defeat in file order, source before
+sink, then every preference pair. So a `def` may precede the `arg`
+facts that declare its names, and the closure (`_reach_masks`) reads
+positions with no name looked up again.
 """
 
 from __future__ import annotations
@@ -267,27 +271,36 @@ def build_framework(
     preference is "certainty" (lower level wins, `certainty_masks`) or
     "none" (every defeat is kept).
 
-    Defeats come from one keyed pass. Each argument is keyed by the
-    truth mask of the negation of every formula it can be defeated
-    through: its conclusion under rebut, each support member under
-    undercut. An argument's targets are then the arguments keyed by its
-    own conclusion mask. Masks come from the universe's own table, the
-    one its support walk built over the base and the candidate
-    conclusions, so two masks are equal exactly when their formulas are
-    equivalent.
+    Defeats come from one keyed pass over the universe's masks, with no
+    formula looked up. Under rebut each argument is filed under the
+    complement of its conclusion mask. Under undercut one OR pass over
+    the support masks collects the arguments holding each belief
+    position, and they are filed under the complement of that belief's
+    mask. An argument's targets are then the arguments filed under its
+    own conclusion mask. Every mask comes from the table the support
+    walk built over the base and the candidate conclusions, so two
+    masks are equal exactly when their formulas are equivalent.
     """
     if defeat not in ("rebut", "undercut"):
         raise ValueError(f"defeat must be 'rebut' or 'undercut', got {defeat!r}")
     if preference not in ("certainty", "none"):
         raise ValueError(f"preference must be 'certainty' or 'none', got {preference!r}")
     args = universe.arguments
-    table = universe.table
+    full = universe.table.full
+    conclusions = universe.conclusion_masks
+    if defeat == "rebut":
+        filed = zip(conclusions, (1 << k for k in range(len(args))))
+    else:
+        holders = [0] * len(universe.belief_masks)
+        for k, support in enumerate(universe.support_masks):
+            for p in _bits(support):
+                holders[p] |= 1 << k
+        filed = zip(universe.belief_masks, holders)
     through: dict[int, int] = {}
-    for k, b in enumerate(args):
-        for f in (b.conclusion,) if defeat == "rebut" else b.support_formulas:
-            key = table.full ^ table.mask(f)
-            through[key] = through.get(key, 0) | 1 << k
-    targets = [through.get(table.mask(a.conclusion), 0) for a in args]
+    for mask, members in filed:
+        key = full ^ mask
+        through[key] = through.get(key, 0) | members
+    targets = [through.get(m, 0) for m in conclusions]
     pref = certainty_masks(args) if preference == "certainty" else None
     return Framework(args, targets, pref, defeat)
 
@@ -330,13 +343,14 @@ def parse_abstract_framework(text: str) -> Framework:
                 prefs.append((x, y))
             pos = match.end()
     targets = [0] * len(index)
+    succ: list[list[int]] = [[] for _ in index] if prefs else []
     try:
         for x, y in zip(sources, sinks):
             i = index[x]  # the source's name is checked before the sink's
             targets[i] |= 1 << index[y]
         for x, y in prefs:
-            index[x], index[y]  # raises on an undeclared name, as above
+            succ[index[x]].append(index[y])
     except KeyError as err:
         raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
-    preference = preference_closure(prefs, index) if prefs else None
+    preference = _reach_masks(succ) if prefs else None
     return Framework(tuple(map(Argument, index)), targets, preference, "abstract")

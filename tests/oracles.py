@@ -234,6 +234,12 @@ def closure_oracle(pairs, ids) -> set[tuple[str, str]]:
         closed |= extra
 
 
+def arg_of_oracle(universe, refs) -> tuple:
+    """The universe members whose support refs all lie in refs, as ref sets."""
+    keep = set(refs)
+    return tuple(a for a in universe.arguments if keep >= set(a.support))
+
+
 # The exhaustive walk and scan the package ran before its pruned ones.
 # They run on the package's own bitmask operators, which the oracles
 # above check on their own, so they pin down the output and its order.

@@ -4,7 +4,9 @@ Both generators go through the public text parsers, so the random
 suites also exercise parsing. Frameworks stay at 8 arguments or fewer
 unless a size is asked for, to keep full subset enumeration cheap;
 bases are filtered down to universes small enough to enumerate
-extensions over.
+extensions over. The named edge bases and wide seeds at the end are
+shared by the suites that check the universe's masks and the defeats
+built from them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 
 from prefarg.arguments import ArgumentUniverse, build_universe
 from prefarg.errors import CapExceededError, KBFormatError
+from prefarg.formulas import parse_formula
 from prefarg.framework import Framework, parse_abstract_framework
 from prefarg.kb import StratifiedKB, parse_kb
 
@@ -104,8 +107,6 @@ def random_kb(
             continue  # duplicate formula or inconsistent core
         query = None
         if rng.random() < query_chance:
-            from prefarg.formulas import parse_formula
-
             query = parse_formula(random_formula_text(rng, names, 1))
         try:
             universe = build_universe(base, query)
@@ -113,3 +114,33 @@ def random_kb(
             continue
         if len(universe.arguments) <= max_universe:
             return base, universe
+
+
+# Candidate pools holding formulas that no argument concludes or rests on.
+EDGE_BASES = {
+    # the core rules the belief !a out of every argument
+    "core-excludes": ("[core]\na\n[stratum 1]\n!a\nb\n[stratum 2]\n!b\n", None),
+    # the query's atom occurs nowhere in the base
+    "foreign-query": ("[stratum 1]\na\nb\n[stratum 2]\n!a\n", "z"),
+}
+# random_kb seeds whose universes hold 20 to 40 arguments and defeats of both kinds
+WIDE_SEEDS = (154, 172, 234, 374)
+# random_kb seeds 0-399, the edge bases and the wide seeds, as universe_case names them
+UNIVERSE_CASES = (*range(400), *EDGE_BASES, *(f"wide-{s}" for s in WIDE_SEEDS))
+
+
+def universe_case(case: int | str, with_query: bool) -> ArgumentUniverse:
+    """The universe of one UNIVERSE_CASES base, with no query or with its own.
+
+    A random or wide base keeps the query random_kb drew for it, or asks
+    "a -> b" when it drew none; an edge base keeps its own, or asks "a".
+    """
+    if case in EDGE_BASES:
+        text, query = EDGE_BASES[case]
+        base, query = parse_kb(text), parse_formula(query or "a")
+    else:
+        wide = isinstance(case, str)
+        rng = random.Random(int(case[5:]) if wide else case)
+        base, universe = random_kb(rng, max_universe=40 if wide else 14)
+        query = universe.query or parse_formula("a -> b")
+    return build_universe(base, query if with_query else None)

@@ -288,6 +288,25 @@ class TestBuildUniverse:
             build_universe(kb, cap=5)
 
 
+class TestUniverseMasks:
+    """The masks the universe carries past the walk, against its refs and its table."""
+
+    @pytest.mark.parametrize("with_query", [False, True])
+    @pytest.mark.parametrize("case", randgen.UNIVERSE_CASES)
+    def test_masks_match_refs_and_table(self, case, with_query):
+        universe = randgen.universe_case(case, with_query)
+        kb, table = universe.kb, universe.table
+        refs = kb.belief_refs()
+        assert universe.belief_masks == tuple(table.mask(kb.resolve(r)) for r in refs)
+        assert len(universe.support_masks) == len(universe.arguments)
+        assert len(universe.conclusion_masks) == len(universe.arguments)
+        for a, support, conclusion in zip(
+            universe.arguments, universe.support_masks, universe.conclusion_masks
+        ):
+            assert support == sum(1 << refs.index(r) for r in a.support)
+            assert conclusion == table.mask(a.conclusion)
+
+
 class TestArgumentTuple:
     def test_attributes_cannot_be_assigned(self):
         arg = Argument(id="X")

@@ -253,6 +253,19 @@ class TestAccept:
         assert data["arguments"][0]["id"] == "A10"
         assert data["arguments"][0]["in_class_r_pref"] is False
 
+    @pytest.mark.parametrize("query,row", [
+        ("!!a", "A1: ({a}, !!a) @1"),
+        ("a & a", "A2: ({a}, a & a) @1"),
+    ])
+    def test_rows_conclude_the_query_itself(self, run, tmp_path, query, row):
+        # The argument ({a}, a) concludes a formula equivalent to the query,
+        # but not the query, so it is no row.
+        target = tmp_path / "a.kb"
+        target.write_text("[stratum 1]\na\n[stratum 2]\n!a\n")
+        code, out, _ = run("accept", str(target), "--query", query, "--format", "json")
+        assert code == 0
+        assert [r["argument"] for r in json.loads(out)["arguments"]] == [row]
+
     def test_unprovable_query(self, run):
         code, out, _ = run("accept", fx("example2.kb"), "--query", "a & !a")
         assert code == 0

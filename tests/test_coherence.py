@@ -9,7 +9,7 @@ import oracles
 import randgen
 from conftest import fixture_text, unchecked_kb
 from prefarg import coherence
-from prefarg.arguments import DEFAULT_CAP, build_universe
+from prefarg.arguments import DEFAULT_CAP, build_universe, supp_of
 from prefarg.coherence import (
     Subbase,
     arg_of,
@@ -21,7 +21,7 @@ from prefarg.errors import CapExceededError
 from prefarg.formulas import Atom, negate_canonical, parse_formula, render
 from prefarg.framework import build_framework
 from prefarg.kb import BeliefRef, StratifiedKB, parse_kb
-from prefarg.semantics import stable_extensions
+from prefarg.semantics import class_cr_pref, grounded_extension, stable_extensions
 
 
 def refs(*pairs):
@@ -316,6 +316,51 @@ class TestFlatClause:
         clause = _flat_clause(check_correspondence(universe))
         assert clause.status == "fail"
         assert clause.counterexample == {"stable_only": [ids], "subbase_only": []}
+
+
+class TestMaskTests:
+    """arg_of and the clause supports test belief-position masks; the
+    ref-set definitions (arg_of_oracle, supp_of) are their oracles."""
+
+    @pytest.mark.parametrize("with_query", [False, True])
+    @pytest.mark.parametrize("case", randgen.UNIVERSE_CASES)
+    def test_match_ref_set_definitions(self, case, with_query):
+        universe = randgen.universe_case(case, with_query)
+        kb = universe.kb
+        beliefs = list(kb.belief_refs())
+        rng = random.Random(f"arg-of:{case}")
+        maximal, preferred = max_consistent_subbases(kb), incl_subbases(kb)
+        for sb in maximal + preferred:
+            assert arg_of(universe, sb) == oracles.arg_of_oracle(universe, sb.refs)
+        for _ in range(5):
+            # a random selection, with a ref the base does not hold
+            pick = rng.sample(beliefs, rng.randint(0, len(beliefs))) + [BeliefRef(9, 0)]
+            assert arg_of(universe, pick) == oracles.arg_of_oracle(universe, pick)
+        if len(universe.arguments) > DEFAULT_CAP:
+            return  # past the cap of check_correspondence's stable search
+
+        report = check_correspondence(universe)
+        common = frozenset.intersection(*(frozenset(sb.refs) for sb in preferred))
+        assert report.intersection == common
+        fw = build_framework(universe)
+        clause = {c.name: c for c in report.clauses}
+
+        def show(refs):
+            return "{" + ", ".join(render(kb.resolve(r)) for r in sorted(refs)) + "}"
+
+        class_ids = class_cr_pref(fw)
+        stray = supp_of([universe.argument(i) for i in class_ids]) - common
+        assert clause["class_support_within_intersection"] == coherence.ClauseResult(
+            "class_support_within_intersection",
+            "fail" if stray else "pass",
+            f"support of {len(class_ids)} unattacked arguments against "
+            f"{len(common)} common references",
+            {"references": [render(kb.resolve(r)) for r in sorted(stray)]} if stray else None,
+        )
+        grounded = supp_of([universe.argument(i) for i in grounded_extension(fw)[0]])
+        assert clause["grounded_support_vs_intersection"].detail == (
+            f"grounded support {show(grounded)}, common references {show(common)}"
+        )
 
 
 class TestGuards:

@@ -9,6 +9,7 @@ import oracles
 import randgen
 from conftest import SRC, fixture_text, strict_pairs
 from oracles import rebuts, undercuts
+from randgen import EDGE_BASES, WIDE_SEEDS
 from prefarg import formulas
 from prefarg.arguments import Argument, build_universe
 from prefarg.errors import AFFormatError
@@ -239,17 +240,6 @@ EXAMPLE2_REBUT_DEFEATS = [
 ]
 
 
-# Candidate pools holding formulas that no argument concludes or rests on.
-EDGE_BASES = {
-    # the core rules the belief !a out of every argument
-    "core-excludes": ("[core]\na\n[stratum 1]\n!a\nb\n[stratum 2]\n!b\n", None),
-    # the query's atom occurs nowhere in the base
-    "foreign-query": ("[stratum 1]\na\nb\n[stratum 2]\n!a\n", "z"),
-}
-# randgen seeds whose universes hold 20 to 40 arguments and defeats of both kinds
-WIDE_SEEDS = (154, 172, 234, 374)
-
-
 class TestBuildFramework:
     def test_example2_undercut_edges(self):
         fw = build_framework(build_universe(parse_kb(fixture_text("example2.kb"))))
@@ -280,6 +270,19 @@ class TestBuildFramework:
         )
         build_framework(universe, defeat)
         assert built == []
+
+    @pytest.mark.parametrize("defeat", ["rebut", "undercut"])
+    def test_looks_up_no_formula_mask(self, defeat, monkeypatch):
+        universe = build_universe(parse_kb(fixture_text("example2.kb")), parse_formula("a | b"))
+        looked_up = []
+        real_mask = formulas.TruthTable.mask
+        monkeypatch.setattr(
+            formulas.TruthTable, "mask",
+            lambda self, f: looked_up.append(f) or real_mask(self, f),
+        )
+        fw = build_framework(universe, defeat)
+        assert looked_up == []
+        assert fw.defeats
 
     def test_unknown_defeat_kind(self):
         universe = build_universe(parse_kb(fixture_text("example2.kb")))
