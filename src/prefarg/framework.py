@@ -37,21 +37,26 @@ Abstract frameworks can also be read from fact files:
 facts are closed under reflexivity and transitivity; cycles collapse
 into equivalences, as a preorder allows.
 
-The parser matches one fact at a time with one regex and keeps flat
-lists: a dict from each declared name to its position, the defeats as
-two name lists (sources and sinks), and the preference pairs. Text that
-is no fact, a fact with the wrong number of names or a duplicate `arg`
-stops the read at its line. Names are checked once the read is done,
-while the defeat-target masks and the preference graph's successor
-lists are built by position: every defeat in file order, source before
-sink, then every preference pair. So a `def` may precede the `arg`
-facts that declare its names, and the closure (`_reach_masks`) reads
-positions with no name looked up again.
+The parser reads the whole text in one `findall` of one regex, whose
+matches lie end to end: each skips blanks and comments, then takes a
+fact, a stray character (and with it the rest of the text) or the end.
+A fact may not span a line break. The facts fill flat lists: a dict
+from each declared name to its position, the defeats as two name lists
+(sources and sinks), and the preference pairs. The first stray, fact
+with the wrong number of names or duplicate `arg` in file order stops
+the read; only then is its line found, as `str.splitlines` counts
+lines, by scanning the text again up to it. Names are checked once the
+read is done, while the defeat-target masks and the preference graph's
+successor lists are built by position: every defeat in file order,
+source before sink, then every preference pair. So a `def` may precede
+the `arg` facts that declare its names, and the closure
+(`_reach_masks`) reads positions with no name looked up again.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
@@ -305,9 +310,29 @@ def build_framework(
     return Framework(args, targets, pref, defeat)
 
 
+# The line boundaries of str.splitlines. A comment ends at one, and the
+# blanks inside a fact are the other blanks, so no fact spans a line.
+_EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 _FACT_RE = re.compile(
-    r"\s*(arg|def|pref)\s*\(\s*([A-Za-z_]\w*)\s*(?:,\s*([A-Za-z_]\w*)\s*)?\)\s*\."
+    r"(?:\s|%[^{eol}]*)*+(?:(arg|def|pref){b}\({b}([A-Za-z_]\w*){b}(?:,{b}([A-Za-z_]\w*){b})?\)"
+    r"{b}\.|(\S)(?s:.*)|\Z)".format(eol=_EOL, b=rf"[^\S{_EOL}]*")
 )
+
+
+def _fact_error(text: str, k: int) -> AFFormatError:
+    """The error for the k-th match of `_FACT_RE` in text, a bad fact or a stray
+    character, at its line as str.splitlines counts lines."""
+    match = next(islice(_FACT_RE.finditer(text), k, None))
+    kind, x, y, _ = match.groups()
+    pos = max(match.start(1), match.start(4))
+    if kind == "arg":
+        problem = "arg() takes one name" if y else f"duplicate argument {x!r}"
+    elif kind:
+        problem = f"{kind}() takes two names"
+    else:
+        snippet = text[pos:].splitlines()[0].split("%", 1)[0].strip()[:30]
+        problem = f"cannot parse fact near {snippet!r}"
+    return AFFormatError(f"line {len((text[:pos] + '.').splitlines())}: {problem}")
 
 
 def parse_abstract_framework(text: str) -> Framework:
@@ -316,32 +341,17 @@ def parse_abstract_framework(text: str) -> Framework:
     sources: list[str] = []
     sinks: list[str] = []
     prefs: list[tuple[str, str]] = []
-    match_fact = _FACT_RE.match
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].rstrip()
-        pos, end = 0, len(line)
-        while pos < end:
-            match = match_fact(line, pos)
-            if match is None:
-                snippet = line[pos:].strip()[:30]
-                raise AFFormatError(f"line {lineno}: cannot parse fact near {snippet!r}")
-            kind, x, y = match.groups()
-            if kind == "def":
-                if y is None:
-                    raise AFFormatError(f"line {lineno}: def() takes two names")
-                sources.append(x)
-                sinks.append(y)
-            elif kind == "arg":
-                if y is not None:
-                    raise AFFormatError(f"line {lineno}: arg() takes one name")
-                if x in index:
-                    raise AFFormatError(f"line {lineno}: duplicate argument {x!r}")
-                index[x] = len(index)
-            else:
-                if y is None:
-                    raise AFFormatError(f"line {lineno}: pref() takes two names")
-                prefs.append((x, y))
-            pos = match.end()
+    for kind, x, y, stray in _FACT_RE.findall(text):
+        if kind == "def" and y:
+            sources.append(x)
+            sinks.append(y)
+        elif kind == "arg" and not y and x not in index:
+            index[x] = len(index)
+        elif kind == "pref" and y:
+            prefs.append((x, y))
+        elif kind or stray:
+            # Every match before this one was a fact, so the facts read count them.
+            raise _fact_error(text, len(index) + len(sources) + len(prefs))
     targets = [0] * len(index)
     succ: list[list[int]] = [[] for _ in index] if prefs else []
     try:

@@ -182,7 +182,14 @@ def g_step(fw: Framework, ids: Iterable[str]) -> frozenset[str]:
 
 
 def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
-    """Least fixed point of f_step, by the grounded labelling in rounds.
+    """Least fixed point of f_step, and the f_step applications that reach it."""
+    members, iterations = _grounded_labelling(fw)
+    ids = fw.ids
+    return frozenset(ids[i] for i in members), iterations
+
+
+def _grounded_labelling(fw: Framework) -> tuple[list[int], int]:
+    """Positions of the grounded extension, by the grounded labelling in rounds.
 
     Each argument counts its attackers not yet OUT. The unattacked
     arguments form the first IN frontier. Each IN argument turns its
@@ -223,8 +230,7 @@ def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
                     rest ^= bit
                 hit ^= low
         frontier = nxt
-    ids = fw.ids
-    return frozenset(ids[i] for i in members), iterations
+    return members, iterations
 
 
 def _propagate(fw: Framework, s: int, cand: int, clash: list[int]) -> tuple[int, int] | None:
@@ -352,8 +358,8 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     the polynomial parts are still computed.
     """
     _check_mode(mode)
-    grounded_ids, iterations = grounded_extension(fw)
-    members = sorted(map(fw.position, grounded_ids))
+    members, iterations = _grounded_labelling(fw)
+    members.sort()
     targets = fw.attack_targets_mask
     attacked = 0
     for i in members:
@@ -581,8 +587,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
     record("g_antimonotone", g_anti)
 
     # Grounded extension laws.
-    grounded_ids, _ = grounded_extension(fw)
-    grounded = _mask_of(fw, grounded_ids)
+    grounded = sum(1 << i for i in _grounded_labelling(fw)[0])
     grounded_att = att(grounded)
     gfp = g(grounded_att)
     record("grounded_is_fixed_point", f(grounded_att) == grounded)

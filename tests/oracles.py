@@ -4,19 +4,25 @@ Everything here favours clarity over speed: formulas are evaluated by
 structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
-under test, except the walks at the end: supports_walk_oracle,
-subbase_walk_oracle, scan_fixed_points and covering_pair_oracle keep the
-exhaustive subset walks, extension scan and covering-pair walk the
-package ran before its pruned or per-class ones, as references for them.
+under test, except the walks and the parser at the end:
+supports_walk_oracle, subbase_walk_oracle, scan_fixed_points and
+covering_pair_oracle keep the exhaustive subset walks, extension scan
+and covering-pair walk the package ran before its pruned or per-class
+ones, and parse_af_oracle the line-by-line `.af` reader it ran before
+its whole-text scan, as references for them.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from prefarg import semantics
+from prefarg.arguments import Argument
 from prefarg.coherence import Subbase
+from prefarg.errors import AFFormatError
 from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, _table_for, atoms
+from prefarg.framework import Framework, _reach_masks
 from prefarg.kb import StratifiedKB
 
 
@@ -373,3 +379,59 @@ def covering_pair_oracle(fw, defended, not_attacked) -> tuple[bool, bool]:
                 g_anti = False
             rest ^= low
     return f_mono, g_anti
+
+
+_LINE_FACT_RE = re.compile(
+    r"\s*(arg|def|pref)\s*\(\s*([A-Za-z_]\w*)\s*(?:,\s*([A-Za-z_]\w*)\s*)?\)\s*\."
+)
+
+
+def parse_af_oracle(text: str) -> Framework:
+    """The `.af` reader that splits the text into lines and matches one fact at a time.
+
+    Each line is cut at its first `%` and matched fact by fact, so a
+    fact cannot span a line and the line number of an error is its
+    index in `text.splitlines()`. Errors come in the same order as from
+    the package's parser.
+    """
+    index: dict[str, int] = {}
+    sources: list[str] = []
+    sinks: list[str] = []
+    prefs: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].rstrip()
+        pos, end = 0, len(line)
+        while pos < end:
+            match = _LINE_FACT_RE.match(line, pos)
+            if match is None:
+                snippet = line[pos:].strip()[:30]
+                raise AFFormatError(f"line {lineno}: cannot parse fact near {snippet!r}")
+            kind, x, y = match.groups()
+            if kind == "def":
+                if y is None:
+                    raise AFFormatError(f"line {lineno}: def() takes two names")
+                sources.append(x)
+                sinks.append(y)
+            elif kind == "arg":
+                if y is not None:
+                    raise AFFormatError(f"line {lineno}: arg() takes one name")
+                if x in index:
+                    raise AFFormatError(f"line {lineno}: duplicate argument {x!r}")
+                index[x] = len(index)
+            else:
+                if y is None:
+                    raise AFFormatError(f"line {lineno}: pref() takes two names")
+                prefs.append((x, y))
+            pos = match.end()
+    targets = [0] * len(index)
+    succ: list[list[int]] = [[] for _ in index] if prefs else []
+    try:
+        for x, y in zip(sources, sinks):
+            i = index[x]  # the source's name is checked before the sink's
+            targets[i] |= 1 << index[y]
+        for x, y in prefs:
+            succ[index[x]].append(index[y])
+    except KeyError as err:
+        raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
+    preference = _reach_masks(succ) if prefs else None
+    return Framework(tuple(map(Argument, index)), targets, preference, "abstract")

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -445,22 +446,48 @@ class TestAbstractParsing:
 
     def test_one_line_of_eighty_thousand_facts_parses_promptly(self):
         # Copying the rest of the line before each fact made parsing
-        # quadratic in the line's length: several seconds at this size. A
-        # child process with a time limit keeps a regression from stalling
-        # the suite.
+        # quadratic in the line's length: several seconds at this size.
+        # Finding an error's line must not rescan or copy once per fact
+        # either. A child process with a time limit keeps a regression
+        # from stalling the suite.
         code = (
+            "import sys\n"
+            "from prefarg.errors import AFFormatError\n"
             "from prefarg.framework import parse_abstract_framework\n"
             "n = 40000\n"
             "facts = [f'arg(N{i}).' for i in range(n)]\n"
             "facts += [f'def(N{i},N{i + 1}).' for i in range(n - 1)]\n"
-            "fw = parse_abstract_framework(' '.join(facts) + '  % all on one line')\n"
-            "print(len(fw.ids), len(fw.defeats))\n"
+            "text = ' '.join(facts) + sys.argv[1] + '  % all on one line'\n"
+            "try:\n"
+            "    fw = parse_abstract_framework(text)\n"
+            "except AFFormatError as err:\n"
+            "    print(err)\n"
+            "else:\n"
+            "    print(len(fw.ids), len(fw.defeats))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=5)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["40000", "39999"]
+        for tail, expected in [
+            ("", "40000 39999"),
+            (" junk", "line 1: cannot parse fact near 'junk'"),
+            (" arg(N7).", "line 1: duplicate argument 'N7'"),
+        ]:
+            proc = subprocess.run([sys.executable, "-c", code, tail], capture_output=True,
+                                  text=True, env=env, timeout=5)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == expected
+
+    def test_stray_text_is_not_read_one_character_at_a_time(self):
+        # A stray character ends the scan with the rest of the text, so
+        # junk costs one match, not one per character.
+        text = "arg(a).\n" + "?" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(AFFormatError, match="line 2: cannot parse fact near '[?]{30}'"):
+                parse_abstract_framework(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_explicit_preference_closure(self):
         fw = parse_abstract_framework(
@@ -486,6 +513,13 @@ class TestAbstractParsing:
         ("arg(A). def(A,Y). def(Z,A).", "undeclared argument 'Y'"),
         ("arg(A). def(Z,Y).", "undeclared argument 'Z'"),
         ("arg(A). pref(A,Y). pref(Z,A).", "undeclared argument 'Y'"),
+        # Line numbers count lines as str.splitlines does, and no fact
+        # spans a line break.
+        ("arg(a).\rjunk", "line 2: cannot parse fact near 'junk'"),
+        ("arg(a).\x0carg(a).", "line 2: duplicate argument 'a'"),
+        ("arg(a).\u2028\r\narg(b,c).", "line 3: arg() takes one name"),
+        ("arg(\na).", "line 1: cannot parse fact near 'arg('"),
+        ("arg(\xa0a). def(a,Z).", "undeclared argument 'Z'"),
     ])
     def test_errors(self, text, fragment):
         with pytest.raises(AFFormatError) as err:
@@ -572,3 +606,87 @@ class TestParserAgainstFactLists:
         assert fw.defeat_targets_mask == reference.defeat_targets_mask
         assert fw.preference_mask == reference.preference_mask
         assert fw.attack_targets_mask == reference.attack_targets_mask
+
+
+# Every line boundary of str.splitlines, and blanks that are none.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+IN_LINE_BLANKS = [" ", "\t", "\xa0", "\x1f", "\u3000"]
+JUNK = ["junk", "defeat(a,a).", "arg(a)", "arg(9).", "(", ").", ",", "\xe9", "9", "arg(a b)."]
+
+
+def fact_soup_text(rng):
+    """A short `.af` text drawn from good facts, bad facts, comments and blanks.
+
+    Names come from a small pool: each `arg` declares a new one until
+    none is left and then repeats one, and `def` and `pref` facts mostly
+    name declared ones, so duplicates and undeclared names arise; arity
+    errors, junk, facts split by a line break and comments that hold
+    facts are mixed in at a rate drawn per text, so about half the texts
+    hold no such fragment.
+    """
+    names = ["a", "b", "c", "d", "_e", "f1", "g\xe9", "h_"][:rng.randint(1, 8)]
+    undeclared = rng.sample(names, len(names))
+    declared: list[str] = []
+    bad_rate = rng.choice([0.0, 0.0, 0.02, 0.1, 0.3])
+
+    def name():
+        return rng.choice(declared if declared and rng.random() < 0.97 else names)
+
+    def blank():
+        return "".join(rng.choice(IN_LINE_BLANKS) for _ in range(rng.choice([0, 0, 1, 2])))
+
+    def fact(kind, *args):
+        inner = ",".join(blank() + x + blank() for x in args)
+        return f"{kind}{blank()}({inner}){blank()}."
+
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < bad_rate:
+            kind = rng.choice(["arity", "junk", "split", "comment"])
+            if kind == "arity":
+                parts.append(rng.choice([fact("arg", "a", "b"), fact("def", "a"),
+                                         fact("pref", "b")]))
+            elif kind == "junk":
+                parts.append(rng.choice(JUNK))
+            elif kind == "split":
+                parts.append(f"arg({rng.choice(LINE_BREAKS)}{rng.choice(names)}).")
+            else:
+                held = fact(rng.choice(["arg", "def"]), "a", "b")
+                parts.append("%" + blank() + held + rng.choice(LINE_BREAKS))
+        elif roll < 0.4:
+            declared.append(undeclared.pop() if undeclared else rng.choice(names))
+            parts.append(fact("arg", declared[-1]))
+        elif roll < 0.85:
+            parts.append(fact("def", name(), name()))
+        else:
+            parts.append(fact("pref", name(), name()))
+        parts.append(rng.choice([blank(), blank(), rng.choice(LINE_BREAKS), "  % note\n"]))
+    text = "".join(parts)
+    return text + rng.choice(["", "", "\n", "%", "% arg(zz).", "%\n", blank()])
+
+
+class TestParserAgainstLineReader:
+    """The whole-text scan reads what the line-by-line reader reads."""
+
+    def test_random_fact_soups(self):
+        rng = random.Random("af-fact-soup")
+        outcomes = {"parsed": 0, "cannot parse": 0, "takes": 0, "duplicate": 0, "undeclared": 0}
+        for _ in range(24_000):
+            text = fact_soup_text(rng)
+            try:
+                expected = oracles.parse_af_oracle(text)
+            except AFFormatError as err:
+                with pytest.raises(AFFormatError) as got:
+                    parse_abstract_framework(text)
+                assert str(got.value) == str(err), repr(text)
+                outcomes[next(k for k in outcomes if k in str(err))] += 1
+                continue
+            fw = parse_abstract_framework(text)
+            assert fw.ids == expected.ids, repr(text)
+            assert fw.defeat_targets_mask == expected.defeat_targets_mask, repr(text)
+            assert fw.preference_mask == expected.preference_mask, repr(text)
+            assert fw.attack_targets_mask == expected.attack_targets_mask, repr(text)
+            outcomes["parsed"] += 1
+        assert min(outcomes.values()) >= 500, outcomes

@@ -67,8 +67,8 @@ PLANTS = {
         1 if a == semantics._attacked_by(fw, 1) else real(fw, a))),
     "everything_conflict_free": ("_conflict_free_mask", lambda real: lambda fw, s, mode, *r: (
         s == _full(fw) or real(fw, s, mode, *r))),
-    "grounded_first_frontier": ("grounded_extension", lambda real: lambda fw: (
-        class_cr_pref(fw), real(fw)[1])),
+    "grounded_first_frontier": ("_grounded_labelling", lambda real: lambda fw: (
+        [i for i, m in enumerate(fw.attackers_mask) if not m], real(fw)[1])),
 }
 
 
