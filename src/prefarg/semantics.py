@@ -435,12 +435,15 @@ def self_check(fw: Framework) -> SelfCheckReport:
     """Run the semantic invariant suite on one framework.
 
     The pool is every subset when the framework is small, and a seeded
-    random sample above MAX_EXHAUSTIVE arguments. On the exhaustive pool
-    the attacked sets come in subset order from doubling a list once per
-    argument; on the sampled pool, and for single sets, they are read
-    from a table built for this call (_attacked_lookup, one row of 256
-    masks per 8 arguments). Weak conflict-freeness is computed once per
-    subset from its attacked set. f_step and g_step read only the
+    random sample above MAX_EXHAUSTIVE arguments. A set attacks what its
+    live part, its members that attack something, attacks. On the
+    exhaustive pool the attacked sets come in subset order from doubling
+    a list once per argument, an argument that attacks nothing repeating
+    the list; on the sampled pool they are read once per distinct live
+    part from a table built for this call (_attacked_lookup, one row of
+    256 masks per 8 arguments), and single sets are resolved through the
+    pool's live parts or that table. Weak conflict-freeness is computed
+    once per subset from its attacked set. f_step and g_step read only the
     attacked set, so the pool falls into classes of subsets sharing one,
     and _defended and _not_attacked run once per class; sets outside the
     pool that the laws reach join the same class tables, so the laws
@@ -466,9 +469,13 @@ def self_check(fw: Framework) -> SelfCheckReport:
     So the verdicts are those of the covering pairs, and no per-class
     meet of members is needed to pick the i. The sampled pool
     keeps four random sub-subsets per member for monotonicity, drawn one
-    member at a time, and checks their distinct attacked sets against
-    the member's f_step and g_step. Extension laws need full enumeration
-    and are skipped above MAX_EXHAUSTIVE.
+    member at a time within its live part, and checks their attacked
+    sets against the member's f_step and g_step. A draw is resolved
+    through the pool's live parts, and through the table when no member
+    shares it; draws are not kept, so on a 1000-argument chain, where
+    nearly every set attacks a set of its own, the check stays under
+    8 MB. Extension laws need full enumeration and are skipped above
+    MAX_EXHAUSTIVE.
 
     grounded_is_fixed_point and grounded_is_union_of_f_chain cross-check
     two independent algorithms: grounded_extension labels by attacker
@@ -481,15 +488,18 @@ def self_check(fw: Framework) -> SelfCheckReport:
     exhaustive = n <= MAX_EXHAUSTIVE
     targets = fw.attack_targets_mask
     lookup = _attacked_lookup(fw)
+    live = sum(1 << i for i, t in enumerate(targets) if t)
     if exhaustive:
         # The subsets with bit i set are those without it plus i, so one
         # doubling per argument lists every attacked set in subset order.
         att_list = [0]
         for t in targets:
-            att_list += [a | t for a in att_list]
-        att_of = dict(enumerate(att_list))
+            att_list += [a | t for a in att_list] if t else att_list
+        att_of = live_att = dict(enumerate(att_list))
     else:
-        att_of = {s: lookup(s) for s in _subset_pool(n)}
+        pool = _subset_pool(n)
+        live_att = {k: lookup(k) for k in {s & live for s in pool}}
+        att_of = {s: live_att[s & live] for s in pool}
     class_size = Counter(att_of.values())
     # f_table[a] and g_table[a] are f_step and g_step of every set
     # attacking exactly a.
@@ -497,7 +507,8 @@ def self_check(fw: Framework) -> SelfCheckReport:
     g_table = {a: _not_attacked(fw, a) for a in class_size}
 
     def att(s: int) -> int:
-        a = att_of.get(s)
+        s &= live
+        a = live_att.get(s)
         return lookup(s) if a is None else a
 
     def f(a: int) -> int:
@@ -573,9 +584,12 @@ def self_check(fw: Framework) -> SelfCheckReport:
         # set is missing from both or from neither.
         rng = random.Random(SAMPLE_SEED + 1)
         for s, a in att_of.items():
+            k = s & live
             fs = f_table[a]
             gs = g_table[a]
-            for a_sub in {lookup(s & rng.getrandbits(n)) for _ in range(4)}:
+            for _ in range(4):
+                d = k & rng.getrandbits(n)
+                a_sub = live_att[d] if d in live_att else lookup(d)
                 if a_sub not in f_table:
                     f_table[a_sub] = _defended(fw, a_sub)
                     g_table[a_sub] = _not_attacked(fw, a_sub)

@@ -5,16 +5,18 @@ structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
 under test, except the walks and the parser at the end:
-supports_walk_oracle, subbase_walk_oracle, scan_fixed_points and
-covering_pair_oracle keep the exhaustive subset walks, extension scan
-and covering-pair walk the package ran before its pruned or per-class
-ones, and parse_af_oracle the line-by-line `.af` reader it ran before
-its whole-text scan, as references for them.
+supports_walk_oracle, subbase_walk_oracle, scan_fixed_points,
+covering_pair_oracle and sampled_monotone_oracle keep the exhaustive
+subset walks, extension scan, covering-pair walk and sampled draw walk
+the package ran before its pruned, per-class or live-part ones, and
+parse_af_oracle the line-by-line `.af` reader it ran before its
+whole-text scan, as references for them.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 from prefarg import semantics
@@ -378,6 +380,32 @@ def covering_pair_oracle(fw, defended, not_attacked) -> tuple[bool, bool]:
             if g_of[s] & ~g_of[s ^ low]:
                 g_anti = False
             rest ^= low
+    return f_mono, g_anti
+
+
+def sampled_monotone_oracle(fw, defended, not_attacked) -> tuple[bool, bool]:
+    """self_check's f_monotone and g_antimonotone verdicts on the sampled pool.
+
+    The draw walk self_check ran before it read attacked sets at live
+    parts: each pool member S, in pool order, is compared with S & r for
+    four draws r from random.Random(SAMPLE_SEED + 1), one draw at a time,
+    each set's attacked set taken from _attacked_by. defended and
+    not_attacked are the f_step and g_step kernels, so a planted kernel
+    can be passed in to compare failing verdicts too.
+    """
+    n = len(fw.arguments)
+    rng = random.Random(semantics.SAMPLE_SEED + 1)
+    f_mono = g_anti = True
+    for s in semantics._subset_pool(n):
+        a = semantics._attacked_by(fw, s)
+        fs = defended(fw, a)
+        gs = not_attacked(fw, a)
+        for _ in range(4):
+            a_sub = semantics._attacked_by(fw, s & rng.getrandbits(n))
+            if defended(fw, a_sub) & ~fs:
+                f_mono = False
+            if gs & ~not_attacked(fw, a_sub):
+                g_anti = False
     return f_mono, g_anti
 
 

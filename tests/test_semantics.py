@@ -44,6 +44,22 @@ def chain(n):
     return parse_abstract_framework("\n".join(facts))
 
 
+# Sixteen arguments (the sampled pool) attacked by none, one or two of
+# them: 39 of the 90 kb-check frameworks of 13-20 arguments have at most
+# two attackers, while a chain has one at nearly every position.
+SPARSE16 = {
+    "none16": [],
+    "star16": [(0, j) for j in range(1, 16)],
+    "two16": [(j % 2, j) for j in range(2, 16)],
+}
+
+
+def sparse16(name):
+    facts = [f"arg(N{i})." for i in range(16)]
+    facts += [f"def(N{i},N{j})." for i, j in SPARSE16[name]]
+    return parse_abstract_framework("\n".join(facts))
+
+
 def _full(fw):
     return (1 << len(fw.arguments)) - 1
 
@@ -492,11 +508,14 @@ class TestSelfCheck:
                         fw.ids, atk)
         assert self_attacks
 
-    @pytest.mark.parametrize("fw_name", ["example1.af", "chain13"])
+    @pytest.mark.parametrize("fw_name", ["example1.af", "chain13", *SPARSE16])
     def test_kernels_run_once_per_attacked_set(self, monkeypatch, fw_name):
         # The search behind complete_extensions makes its own kernel calls,
         # so it is replaced by its answer to count self_check's alone.
-        fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
+        if fw_name in SPARSE16:
+            fw = sparse16(fw_name)
+        else:
+            fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
         complete = complete_extensions(fw, cap=len(fw.arguments))
         monkeypatch.setattr(semantics, "complete_extensions", lambda *a: complete)
         calls = {"_defended": Counter(), "_not_attacked": Counter()}
@@ -665,6 +684,42 @@ class TestSelfCheck:
                 monkeypatch.setattr(semantics, name, kernels[name])
             status = {r.name: r.status for r in self_check(fw).results}
             verdicts = oracles.covering_pair_oracle(
+                fw, kernels["_defended"], kernels["_not_attacked"])
+            assert (status["f_monotone"] == "pass",
+                    status["g_antimonotone"] == "pass") == verdicts
+            monkeypatch.undo()
+            seen.update(zip(("f_monotone", "g_antimonotone"), verdicts))
+        if planted:
+            assert {("f_monotone", False), ("g_antimonotone", False)} <= seen
+        else:
+            assert seen == {("f_monotone", True), ("g_antimonotone", True)}
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "planted"])
+    @pytest.mark.parametrize("prefs", randgen.PREF_STYLES)
+    def test_sampled_monotonicity_verdicts_match_draw_oracle(self, monkeypatch, prefs, planted):
+        # Sizes 13-40 take the sampled pool, where self_check reads each
+        # draw's attacked set at its live part and the oracle reads it
+        # from the whole draw. A planted run flips one bit of one kernel
+        # at the attacked set of one replayed draw, so failing verdicts
+        # are compared too.
+        rng = random.Random(f"sampled:{prefs}:{planted}")
+        seen = set()
+        for n in range(MAX_EXHAUSTIVE + 1, 41):
+            fw = randgen.random_framework(rng, n, prefs, mutual=n % 3)
+            kernels = {"_defended": semantics._defended,
+                       "_not_attacked": semantics._not_attacked}
+            if planted:
+                draws = random.Random(semantics.SAMPLE_SEED + 1)
+                drawn = [s & draws.getrandbits(n)
+                         for s in semantics._subset_pool(n) for _ in range(4)]
+                name = rng.choice(sorted(kernels))
+                at = semantics._attacked_by(fw, rng.choice(drawn))
+                bit = 1 << rng.randrange(n)
+                kernels[name] = lambda fw, a, real=kernels[name], at=at, bit=bit: (
+                    real(fw, a) ^ bit if a == at else real(fw, a))
+                monkeypatch.setattr(semantics, name, kernels[name])
+            status = {r.name: r.status for r in self_check(fw).results}
+            verdicts = oracles.sampled_monotone_oracle(
                 fw, kernels["_defended"], kernels["_not_attacked"])
             assert (status["f_monotone"] == "pass",
                     status["g_antimonotone"] == "pass") == verdicts
