@@ -11,8 +11,7 @@ One verb per concept cluster:
     prefarg check      graph.af                 run the invariant suite
 
 The library returns report objects; this module alone shapes them into
-JSON and text, passing through only the counterexample dicts of failing
-correspondence clauses. extensions, accept, coherence and check each
+JSON and text. extensions, accept, coherence and check each
 build one JSON-ready report, which --format json prints and --format
 text renders, reading nothing else. arguments prints Argument.describe()
 lines (or the universe as JSON) and graph prints DOT.
@@ -247,7 +246,16 @@ def _ref(kb, ref) -> dict:
     return {"stratum": ref.stratum, "position": ref.position, "formula": render(kb.resolve(ref))}
 
 
-def _correspondence(report) -> dict:
+def _part(kb, value):
+    """A counterexample part as JSON: refs as formula text, id sets as sorted lists."""
+    if isinstance(value, tuple):
+        return [render(kb.resolve(r)) for r in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return sorted(sorted(ids) for ids in value)
+
+
+def _correspondence(kb, report) -> dict:
     """The correspondence block of coherence and check: the verdict and every clause."""
     return {
         "ok": report.ok,
@@ -256,7 +264,9 @@ def _correspondence(report) -> dict:
                 "name": c.name,
                 "status": c.status,
                 "detail": c.detail,
-                "counterexample": c.counterexample,
+                "counterexample": c.counterexample and {
+                    name: _part(kb, value) for name, value in c.counterexample.items()
+                },
             }
             for c in report.clauses
         ],
@@ -284,7 +294,7 @@ def cmd_coherence(args, universe, fw) -> int:
     _write(args, {
         "subbases": [[_ref(universe.kb, r) for r in sb.refs] for sb in report.subbases],
         "intersection": [_ref(universe.kb, r) for r in sorted(report.intersection)],
-        "correspondence": _correspondence(report),
+        "correspondence": _correspondence(universe.kb, report),
     }, _coherence_lines)
     return 0
 
@@ -322,16 +332,8 @@ def _check_lines(report: dict) -> list[str]:
 
 
 def cmd_check(args, universe, fw) -> int:
-    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law.
-
-    Under the default --defeat and --pref, fw is the undercut/certainty
-    framework that check_correspondence reads, so it is passed on rather
-    than built again.
-    """
-    clauses = None
-    if universe is not None:
-        default = args.defeat in (None, "undercut") and args.pref in (None, "certainty")
-        clauses = check_correspondence(universe, args.cap, fw if default else None)
+    """Run self_check, plus check_correspondence for a .kb; exit 3 on a failed law."""
+    clauses = None if universe is None else check_correspondence(universe, args.cap)
     checks = self_check(fw)
     report = {
         "ok": checks.ok and (clauses is None or clauses.ok),
@@ -347,7 +349,7 @@ def cmd_check(args, universe, fw) -> int:
         },
     }
     if clauses is not None:
-        report["correspondence"] = _correspondence(clauses)
+        report["correspondence"] = _correspondence(universe.kb, clauses)
     _write(args, report, _check_lines)
     return 0 if report["ok"] else 3
 

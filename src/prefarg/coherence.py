@@ -123,6 +123,11 @@ def arg_of(
 
 @dataclass(frozen=True)
 class ClauseResult:
+    """One checked clause. A failing clause's counterexample maps part
+    names to library values: belief refs as a tuple (subbase,
+    references), argument ids as a frozenset (arguments, extension,
+    class), or a set of such frozensets (stable_only, subbase_only)."""
+
     name: str
     status: str  # "pass" | "fail" | "info"
     detail: str = ""
@@ -146,8 +151,13 @@ def _show_refs(kb: StratifiedKB, mask: int) -> str:
     return "{" + ", ".join(render(kb.resolve(r)) for r in _refs_at(kb, mask)) + "}"
 
 
+def _clause(name: str, counterexample: dict | None, detail: str) -> ClauseResult:
+    """A clause that fails exactly when it has a counterexample."""
+    return ClauseResult(name, "fail" if counterexample else "pass", detail, counterexample)
+
+
 def check_correspondence(
-    universe: ArgumentUniverse, cap: int = DEFAULT_CAP, fw: Framework | None = None
+    universe: ArgumentUniverse, cap: int = DEFAULT_CAP
 ) -> CorrespondenceReport:
     """Cross-check subbase selection against undercut/certainty extensions.
 
@@ -167,41 +177,27 @@ def check_correspondence(
                                      exactly the argument sets of the
                                      maximal consistent subbases
 
+    A failing clause's counterexample names, in order: the subbase's
+    refs (a tuple) and its argument ids (a frozenset); the stray refs
+    (a tuple); the extension and the class (frozensets of ids); the
+    stable-only and subbase-only id sets (sets of frozensets).
+
     A final informational clause shows the grounded extension's support
     next to the subbase intersection without asserting anything. The
     base is the universe's own, and one subbase walk serves both the
     stratified clauses and the flat one: each maximal subbase's argument
     ids are gathered once, and the preferred subbases are among them.
-    fw, when given, must be build_framework(universe), the undercut
-    framework under certainty preference; it is built when not given.
+    The undercut framework under certainty preference is built here.
     """
     kb = universe.kb
-    clauses: list[ClauseResult] = []
-
     maximal, subbases = _subbase_lists(kb, cap)
     common = functools.reduce(operator.and_, (_position_mask(kb, sb.refs) for sb in subbases))
     ids_of = {sb: frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
-
-    if fw is None:
-        fw = build_framework(universe, defeat="undercut")
+    fw = build_framework(universe, defeat="undercut")
     stable = stable_extensions(fw, "weak", cap)
-
-    bad = None
-    for sb in subbases:
-        ids = ids_of[sb]
-        if ids not in stable:
-            bad = {
-                "subbase": [render(f) for f in sb.formulas(kb)],
-                "arguments": sorted(ids),
-            }
-            break
-    clauses.append(ClauseResult(
-        "subbase_arguments_are_stable",
-        "fail" if bad else "pass",
-        f"{len(subbases)} subbases against {len(stable)} stable extensions "
-        "(finite-universe verification)",
-        bad,
-    ))
+    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, None, "undercut")
+    flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
+    flat_expected = set(ids_of.values())
 
     def support_of(ids: Iterable[str]) -> int:
         """The union of the named arguments' supports, as a belief-position mask."""
@@ -211,49 +207,40 @@ def check_correspondence(
 
     class_ids = class_cr_pref(fw)
     stray = support_of(class_ids) & ~common
-    clauses.append(ClauseResult(
-        "class_support_within_intersection",
-        "fail" if stray else "pass",
-        f"support of {len(class_ids)} unattacked arguments against "
-        f"{common.bit_count()} common references",
-        {"references": [render(kb.resolve(r)) for r in _refs_at(kb, stray)]} if stray else None,
-    ))
-
-    outside = None
-    for ext in stable:
-        if not class_ids <= ext:
-            outside = {"extension": sorted(ext), "class": sorted(class_ids)}
-            break
-    clauses.append(ClauseResult(
-        "class_within_every_stable",
-        "fail" if outside else "pass",
-        f"{len(class_ids)} unattacked arguments against {len(stable)} stable extensions",
-        outside,
-    ))
-
-    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, None, "undercut")
-    flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
-    flat_expected = set(ids_of.values())
-    mismatch = None
-    if flat_stable != flat_expected:
-        mismatch = {
-            "stable_only": sorted(sorted(e) for e in flat_stable - flat_expected),
-            "subbase_only": sorted(sorted(e) for e in flat_expected - flat_stable),
-        }
-    clauses.append(ClauseResult(
-        "flat_stable_equals_max_consistent",
-        "fail" if mismatch else "pass",
-        f"{len(flat_stable)} stable extensions against "
-        f"{len(flat_expected)} maximal consistent subbases",
-        mismatch,
-    ))
-
     grounded_ids, _ = grounded_extension(fw)
-    clauses.append(ClauseResult(
-        "grounded_support_vs_intersection",
-        "info",
-        f"grounded support {_show_refs(kb, support_of(grounded_ids))}, "
-        f"common references {_show_refs(kb, common)}",
-    ))
-
-    return CorrespondenceReport(tuple(clauses), tuple(subbases), frozenset(_refs_at(kb, common)))
+    clauses = (
+        _clause(
+            "subbase_arguments_are_stable",
+            next(({"subbase": sb.refs, "arguments": ids_of[sb]}
+                  for sb in subbases if ids_of[sb] not in stable), None),
+            f"{len(subbases)} subbases against {len(stable)} stable extensions "
+            "(finite-universe verification)",
+        ),
+        _clause(
+            "class_support_within_intersection",
+            {"references": _refs_at(kb, stray)} if stray else None,
+            f"support of {len(class_ids)} unattacked arguments against "
+            f"{common.bit_count()} common references",
+        ),
+        _clause(
+            "class_within_every_stable",
+            next(({"extension": ext, "class": class_ids}
+                  for ext in stable if not class_ids <= ext), None),
+            f"{len(class_ids)} unattacked arguments against {len(stable)} stable extensions",
+        ),
+        _clause(
+            "flat_stable_equals_max_consistent",
+            {"stable_only": flat_stable - flat_expected,
+             "subbase_only": flat_expected - flat_stable}
+            if flat_stable != flat_expected else None,
+            f"{len(flat_stable)} stable extensions against "
+            f"{len(flat_expected)} maximal consistent subbases",
+        ),
+        ClauseResult(
+            "grounded_support_vs_intersection",
+            "info",
+            f"grounded support {_show_refs(kb, support_of(grounded_ids))}, "
+            f"common references {_show_refs(kb, common)}",
+        ),
+    )
+    return CorrespondenceReport(clauses, tuple(subbases), frozenset(_refs_at(kb, common)))

@@ -474,6 +474,25 @@ class TestCheck:
         assert (code, len(calls)) == (0, 1)
         assert out.rstrip().endswith("self_check: ok")
 
+    @pytest.mark.parametrize("plant", ["plain", "drop-first-stable", "class-is-every-id"])
+    @pytest.mark.parametrize("base", ["example2.kb", "example3.kb", "core.kb"])
+    def test_correspondence_ignores_defeat_and_pref(self, run, tmp_path, monkeypatch,
+                                                    base, plant):
+        # The clauses are about the undercut/certainty framework whatever
+        # framework --defeat and --pref choose for self_check.
+        (tmp_path / "core.kb").write_text(CORE_KB, encoding="utf-8")
+        path = str(tmp_path / base) if base == "core.kb" else fx(base)
+        for name, value in _PLANTS[plant].items():
+            monkeypatch.setattr(coherence, name, value)
+        code, out, _ = run("coherence", path, "--format", "json")
+        assert code == 0
+        expected = json.loads(out)["correspondence"]
+        for defeat in ([], ["--defeat", "undercut"], ["--defeat", "rebut"]):
+            for pref in ([], ["--pref", "certainty"], ["--pref", "none"]):
+                code, out, _ = run("check", path, "--format", "json", *defeat, *pref)
+                assert code in (0, 3)
+                assert json.loads(out)["correspondence"] == expected, (defeat, pref)
+
     def test_failing_check_exits_3(self, run, monkeypatch):
         import prefarg.cli as cli_module
         from prefarg.semantics import CheckResult, SelfCheckReport
@@ -533,6 +552,54 @@ class TestCheckGolden:
             code, out, _ = run("check", path, "--format", "json")
             digest.update(f"{name} {code}\n{out}".encode())
         assert digest.hexdigest() == CHECK_JSON_DIGEST
+
+
+# a core and three strata: 12 arguments, so ids sort as strings (A10 before A2)
+CORE_KB = "[core]\na -> b\n[stratum 1]\na\nc\n[stratum 2]\n!b\nc -> d\n[stratum 3]\n!d\nd | e\n"
+
+# Two plants that fail every correspondence clause between them: dropping
+# the first stable extension of each list fails the subbase and flat
+# clauses, and calling every argument unattacked fails the two class
+# clauses, each with its counterexample.
+_PLANTS = {
+    "plain": {},
+    "drop-first-stable": {
+        "stable_extensions": lambda fw, mode, cap, _real=coherence.stable_extensions:
+            _real(fw, mode, cap)[1:],
+    },
+    "class-is-every-id": {"class_cr_pref": lambda fw: frozenset(fw.ids)},
+}
+
+# sha256 of check and coherence, text and JSON, under each plant above
+# over example2.kb, example3.kb and CORE_KB: a changed counterexample
+# part, key or id order moves it.
+COUNTEREXAMPLE_DIGEST = "9f7a385b698b89d265d0e4efabfd63cb3427283a217ff9100c08eeb81eb91707"
+
+
+class TestCounterexampleGolden:
+    def test_digest(self, run, tmp_path, monkeypatch):
+        (tmp_path / "core.kb").write_text(CORE_KB, encoding="utf-8")
+        paths = [fx("example2.kb"), fx("example3.kb"), str(tmp_path / "core.kb")]
+        digest = hashlib.sha256()
+        failed = set()
+        for plant, attrs in _PLANTS.items():
+            with monkeypatch.context() as patch:
+                for name, value in attrs.items():
+                    patch.setattr(coherence, name, value)
+                for path in paths:
+                    base = path.rsplit("/", 1)[1]
+                    for command in ("check", "coherence"):
+                        for fmt in ("text", "json"):
+                            code, out, err = run(command, path, "--format", fmt)
+                            digest.update(f"{plant} {base} {command} {fmt}\n{code}\n{out}\n{err}\n"
+                                          .encode())
+                    clauses = json.loads(out)["correspondence"]["clauses"]
+                    failed |= {c["name"] for c in clauses if c["counterexample"]}
+        assert failed == {
+            "subbase_arguments_are_stable", "class_support_within_intersection",
+            "class_within_every_stable", "flat_stable_equals_max_consistent",
+        }
+        assert digest.hexdigest() == COUNTEREXAMPLE_DIGEST
 
 
 _SWEEP_FLAGS = [
@@ -744,16 +811,16 @@ class TestInputHandling:
         assert (code, counts["build_universe"], counts["build_framework"]) == expected
 
 
-    @pytest.mark.parametrize("flags,builds", [
-        ([], 1),
-        (["--defeat", "undercut", "--pref", "certainty"], 1),
-        (["--defeat", "rebut"], 2),
-        (["--pref", "none"], 2),
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--defeat", "undercut", "--pref", "certainty"],
+        ["--defeat", "rebut"],
+        ["--pref", "none"],
     ])
-    def test_check_builds_the_default_framework_once(self, run, monkeypatch, flags, builds):
-        # check_correspondence reads the undercut/certainty framework, so
-        # check hands it main's framework unless a flag chose another one;
-        # the report is the same either way.
+    def test_check_builds_a_framework_for_each_report(self, run, monkeypatch, flags):
+        # main builds the framework --defeat and --pref choose for
+        # self_check, and check_correspondence builds the undercut/certainty
+        # one its clauses are about, whatever the flags.
         expected = run("check", fx("example2.kb"), "--format", "json", *flags)
         counts = Counter()
         for module in (cli, coherence):
@@ -761,7 +828,7 @@ class TestInputHandling:
             monkeypatch.setattr(module, "build_framework", lambda *a, real=real, **k: (
                 counts.update(["build_framework"]) or real(*a, **k)))
         assert run("check", fx("example2.kb"), "--format", "json", *flags) == expected
-        assert counts["build_framework"] == builds
+        assert counts["build_framework"] == 2
 
 
 class TestDeterminism:

@@ -290,13 +290,6 @@ class TestFlatClause:
         assert check_correspondence(universe).ok
         assert calls == Counter(build_framework=1)
 
-    def test_reuses_a_given_framework(self, monkeypatch):
-        universe = build_universe(parse_kb(fixture_text("example2.kb")))
-        fw = build_framework(universe)
-        expected = check_correspondence(universe)
-        monkeypatch.setattr(coherence, "build_framework", None)
-        assert check_correspondence(universe, fw=fw) == expected
-
     def test_counterexample_names_universe_ids(self, monkeypatch):
         kb = parse_kb(fixture_text("example2.kb"))
         universe = build_universe(kb)
@@ -315,7 +308,7 @@ class TestFlatClause:
         monkeypatch.setattr(coherence, "_subbase_lists", without_dropped)
         clause = _flat_clause(check_correspondence(universe))
         assert clause.status == "fail"
-        assert clause.counterexample == {"stable_only": [ids], "subbase_only": []}
+        assert clause.counterexample == {"stable_only": {frozenset(ids)}, "subbase_only": set()}
 
 
 class TestMaskTests:
@@ -355,7 +348,7 @@ class TestMaskTests:
             "fail" if stray else "pass",
             f"support of {len(class_ids)} unattacked arguments against "
             f"{len(common)} common references",
-            {"references": [render(kb.resolve(r)) for r in sorted(stray)]} if stray else None,
+            {"references": tuple(sorted(stray))} if stray else None,
         )
         grounded = supp_of([universe.argument(i) for i in grounded_extension(fw)[0]])
         assert clause["grounded_support_vs_intersection"].detail == (

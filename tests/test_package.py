@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,11 @@ def test_all_names_resolve_once():
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_check_correspondence_takes_no_framework():
+    # It builds the undercut/certainty framework its clauses are about;
+    # a framework handed in could silently be another one.
+    assert list(inspect.signature(coherence.check_correspondence).parameters) == [
+        "universe", "cap",
+    ]
