@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arguments import DEFAULT_CAP, Argument, ArgumentUniverse, _belief_masks
-from .formulas import Formula, render
+from .formulas import render
 from .framework import Framework, build_framework
 from .kb import BeliefRef, StratifiedKB
 from .semantics import class_cr_pref, grounded_extension, stable_extensions
@@ -40,9 +40,6 @@ class Subbase:
     """A selection of beliefs, kept as sorted references into the base."""
 
     refs: tuple[BeliefRef, ...]
-
-    def formulas(self, kb: StratifiedKB) -> tuple[Formula, ...]:
-        return tuple(kb.resolve(r) for r in self.refs)
 
 
 def _subbase_lists(kb: StratifiedKB, cap: int) -> tuple[list[Subbase], list[Subbase]]:

@@ -40,13 +40,19 @@ into equivalences, as a preorder allows.
 The parser reads the whole text in one `findall` of one regex, whose
 matches lie end to end: each skips blanks and comments, then takes a
 fact, a stray character (and with it the rest of the text) or the end.
-A fact may not span a line break. The facts fill flat lists: a dict
-from each declared name to its position, the defeats as two name lists
-(sources and sinks), and the preference pairs. The first stray, fact
-with the wrong number of names or duplicate `arg` in file order stops
-the read; only then is its line found, as `str.splitlines` counts
-lines, by scanning the text again up to it. Names are checked once the
-read is done, while the defeat-target masks and the preference graph's
+A fact may not span a line break: its blanks are `_BLANK`, the
+whitespace characters (`str.isspace`) other than the `str.splitlines`
+boundaries, spelt out as one class that a test checks against every
+code point. Names and blanks take possessive quantifiers (Python
+3.11), which leave every match as it is, since no character that may
+follow a name or a run of blanks can extend it, and spare the engine
+their backtracking points. The facts fill flat lists: a dict from each
+declared name to its position, the defeats as two name lists (sources
+and sinks), and the preference pairs. The first stray, fact with the
+wrong number of names or duplicate `arg` in file order stops the read;
+only then is its line found, as `str.splitlines` counts lines, by
+scanning the text again up to it. Names are checked once the read is
+done, while the defeat-target masks and the preference graph's
 successor lists are built by position: every defeat in file order,
 source before sink, then every preference pair. So a `def` may precede
 the `arg` facts that declare its names, and the closure
@@ -56,7 +62,7 @@ the `arg` facts that declare its names, and the closure
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
@@ -134,7 +140,7 @@ def _reach_masks(succ: Sequence[Sequence[int]]) -> list[int]:
 def _checked_masks(masks: Iterable[int], n: int, what: str) -> list[int]:
     """The masks as a list, if there is one per position and none has a bit past n."""
     out = list(masks)
-    if len(out) != n or any(m < 0 or m >> n for m in out):
+    if len(out) != n or n and (min(out) < 0 or max(out) >> n):
         raise ValueError(f"need one {what} mask over {n} positions per argument")
     return out
 
@@ -217,12 +223,12 @@ class Framework:
         self.preference_mask = pref = (
             None if preference is None else _checked_masks(preference, n, "preference")
         )
+        bits = [1 << i for i in range(n)]  # read, not shifted, once per edge
         self.defeaters_mask = defeaters = [0] * n
-        for i, m in enumerate(targets):
-            bit = 1 << i
+        for bit, m in zip(bits, targets):
             while m:
                 j = m.bit_length() - 1
-                m ^= 1 << j
+                m ^= bits[j]
                 defeaters[j] |= bit
         if pref is None:
             self.attack_targets_mask = targets
@@ -235,10 +241,10 @@ class Framework:
             # i. A j that i ranks at least as high as never is, so only the
             # other targets are tested.
             m &= ~pref[i]
-            bit = 1 << i
+            bit = bits[i]
             while m:
                 j = m.bit_length() - 1
-                low = 1 << j
+                low = bits[j]
                 m ^= low
                 if pref[j] & bit:
                     attack[i] ^= low
@@ -311,11 +317,13 @@ def build_framework(
 
 
 # The line boundaries of str.splitlines. A comment ends at one, and the
-# blanks inside a fact are the other blanks, so no fact spans a line.
+# blanks inside a fact, _BLANK, are what \s matches less these, so no
+# fact spans a line.
 _EOL = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_BLANK = r"[\t\x1f \xa0\u1680\u2000-\u200a\u202f\u205f\u3000]"
 _FACT_RE = re.compile(
-    r"(?:\s|%[^{eol}]*)*+(?:(arg|def|pref){b}\({b}([A-Za-z_]\w*){b}(?:,{b}([A-Za-z_]\w*){b})?\)"
-    r"{b}\.|(\S)(?s:.*)|\Z)".format(eol=_EOL, b=rf"[^\S{_EOL}]*")
+    r"(?:\s|%[^{eol}]*)*+(?:(arg|def|pref){b}\({b}([A-Za-z_]\w*+){b}(?:,{b}([A-Za-z_]\w*+){b})?\)"
+    r"{b}\.|(\S)(?s:.*)|\Z)".format(eol=_EOL, b=_BLANK + "*+")
 )
 
 
@@ -363,4 +371,7 @@ def parse_abstract_framework(text: str) -> Framework:
     except KeyError as err:
         raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
     preference = _reach_masks(succ) if prefs else None
-    return Framework(tuple(map(Argument, index)), targets, preference, "abstract")
+    # Argument(x) through tuple.__new__, with no Python-level __new__ per name.
+    none = repeat(None)
+    arguments = tuple(map(tuple.__new__, repeat(Argument), zip(index, none, none, none, none)))
+    return Framework(arguments, targets, preference, "abstract")

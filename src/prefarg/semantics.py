@@ -62,10 +62,10 @@ def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:
     ids = fw.ids
     out = []
     while mask:
-        low = mask & -mask
-        out.append(ids[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
+        j = mask.bit_length() - 1
+        out.append(ids[j])
+        mask ^= 1 << j
+    return tuple(reversed(out))
 
 
 def _ids_without(fw: Framework, sources: list[int]) -> tuple[str, ...]:
@@ -197,7 +197,10 @@ def _grounded_labelling(fw: Framework) -> tuple[list[int], int]:
     argument lowers its targets' counts; a count that reaches 0 puts its
     argument on the next frontier. Frontier k is f_step^k(empty) less
     f_step^(k-1)(empty), and every attack edge is walked at most twice,
-    so the labelling costs O(n + m) mask operations.
+    so the labelling costs O(n + m) mask operations. Set bits are peeled
+    highest position first, one big-int temporary per bit fewer than
+    lowest first, so the positions within a round come in no order that
+    callers may rely on: they sort the positions or OR them.
 
     Also returns the number of f_step applications that iterating from
     the empty set performs, including the final one that confirms the
@@ -219,16 +222,15 @@ def _grounded_labelling(fw: Framework) -> tuple[list[int], int]:
             hit = targets[i] & ~out
             out |= hit
             while hit:
-                low = hit & -hit
-                rest = targets[low.bit_length() - 1]
+                k = hit.bit_length() - 1
+                hit ^= 1 << k
+                rest = targets[k]
                 while rest:
-                    bit = rest & -rest
-                    j = bit.bit_length() - 1
+                    j = rest.bit_length() - 1
+                    rest ^= 1 << j
                     count[j] -= 1
                     if not count[j]:
                         nxt.append(j)
-                    rest ^= bit
-                hit ^= low
         frontier = nxt
     return members, iterations
 

@@ -29,7 +29,7 @@ def refs(*pairs):
 
 
 def formula_sets(kb, subbases):
-    return [set(map(render, sb.formulas(kb))) for sb in subbases]
+    return [{render(kb.resolve(r)) for r in sb.refs} for sb in subbases]
 
 
 class TestLayeredContradictions:

@@ -366,14 +366,36 @@ class TestFrameworkClass:
         ([0, 0], [0b01]),
         ([0, 0], [0b01, 0b110]),
         ([0, 0], [0b01, -2]),
+        ([0b01, -1], None),
+        ([-1, 0b100], None),
+        ([0, 0], [0b10, -1]),
+        ([0, 0], [-1, 0b100]),
     ], ids=[
         "wrong-length", "bit-past-end", "negative",
         "pref-wrong-length", "pref-bit-past-end", "pref-negative",
+        "negative-after-valid", "too-wide-after-negative",
+        "pref-negative-after-valid", "pref-too-wide-after-negative",
     ])
     def test_malformed_defeat_masks_rejected(self, targets, preference):
         args = (Argument(id="X"), Argument(id="Y"))
         with pytest.raises(ValueError):
             Framework(args, targets, preference, "abstract")
+
+    def test_mask_count_checked_at_the_edges(self):
+        for preference in (None, []):
+            fw = Framework((), [], preference, "abstract")
+            assert fw.defeaters_mask == fw.attack_targets_mask == []
+        with pytest.raises(ValueError):
+            Framework((Argument(id="X"),), [0], [], "abstract")
+
+    def test_parsed_arguments_are_plain_abstract_arguments(self):
+        fw = parse_abstract_framework("arg(A). arg(b_2). def(A,b_2). arg(_).")
+        assert fw.arguments == (Argument(id="A"), Argument(id="b_2"), Argument(id="_"))
+        for a in fw.arguments:
+            assert type(a) is Argument
+            assert a.is_abstract
+            assert a.describe() == a.id
+            assert [getattr(a, f) for f in Argument._fields[1:]] == [None] * 4
 
     def test_position_and_lookup(self):
         fw = parse_abstract_framework("arg(A). arg(B). def(A,B).")
