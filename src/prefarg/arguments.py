@@ -204,14 +204,6 @@ def _walk_supports(kb: StratifiedKB, conclusions: Sequence[Formula], cap: int):
     return refs, table, masks, mask_of, groups
 
 
-def _supports_by_conclusion(
-    kb: StratifiedKB, conclusions: Sequence[Formula], cap: int
-) -> tuple[list[list[tuple[BeliefRef, ...]]], TruthTable]:
-    """The minimal supports of each conclusion as refs, in the order given, and the walk's table."""
-    refs, table, _, mask_of, groups = _walk_supports(kb, conclusions, cap)
-    return [[tuple(refs[i] for i in s) for s in groups[m]] for m in mask_of], table
-
-
 def minimal_supports(
     kb: StratifiedKB, conclusion: Formula, cap: int = DEFAULT_CAP
 ) -> list[tuple[BeliefRef, ...]]:
@@ -220,8 +212,8 @@ def minimal_supports(
     The empty support qualifies when the core alone entails the
     conclusion. Results are ordered by size, then by ref positions.
     """
-    found, _ = _supports_by_conclusion(kb, [conclusion], cap)
-    return found[0]
+    refs, _, _, mask_of, groups = _walk_supports(kb, [conclusion], cap)
+    return [tuple(refs[i] for i in s) for s in groups[mask_of[0]]]
 
 
 def build_universe(

@@ -10,10 +10,22 @@ Formula syntax:
     equivalence   f <-> g       (right-associative)
 
 Binding strength, tightest first: ! & | -> <->. Whitespace is
-insignificant. Rendering uses `!`, single spaces around binary
+insignificant: any run of whitespace characters (`str.isspace`) may
+stand between tokens. Rendering uses `!`, single spaces around binary
 connectives and minimal parentheses; parsing the rendered text yields
-the identical tree. Text that nests connectives or parentheses more
-than MAX_DEPTH (100) levels deep is rejected.
+the identical tree.
+
+Parsing is one left-to-right operator-precedence pass (Floyd 1963,
+"Syntactic analysis and operator precedence") with no recursion. One
+stack holds the connectives still waiting for an operand, and None for
+each open parenthesis; another holds the finished operands. A binary
+connective first applies every pending one that binds at least as
+tightly (more tightly, if it groups to the right), so the binding order
+is stated once, in `_PRECEDENCE` and `_RIGHT_ASSOCIATIVE`, which
+`render` reads too. Text that nests connectives or parentheses more
+than MAX_DEPTH (100) levels deep is still rejected: the parser needs no
+such bound, but `render`, `TruthTable.mask` and the dataclass hash
+recurse once per level of a tree.
 
 Satisfiability questions are answered by complete truth-table
 evaluation, vectorized as bitmasks over the assignment space: bit i of
@@ -114,7 +126,7 @@ def render(f: Formula) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?:
+    r"""\s*(?:
           (?P<atom>[a-z][a-zA-Z0-9_]*)
         | (?P<iff><->)
         | (?P<implies>->)
@@ -127,15 +139,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    position: int
+_BINARY = {symbol: make for make, symbol in _SYMBOL.items()}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("end", "", len(text))."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -147,93 +155,58 @@ def _tokenize(text: str) -> list[_Token]:
             where = len(text) - len(rest)
             raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", where)
         kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    # Chains and negations are read in loops; only a parenthesised group
-    # recurses, so the stack depth follows the (capped) parenthesis nesting.
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.parens = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
-        return f
-
-    def iff(self) -> Formula:
-        return self.right_chain("iff", Iff, self.implies)
-
-    def implies(self) -> Formula:
-        return self.right_chain("implies", Implies, self.disj)
-
-    def right_chain(self, kind: str, make, operand) -> Formula:
-        f = operand()
-        if self.peek().kind != kind:
-            return f
-        parts = [f]
-        while self.peek().kind == kind:
-            self.take()
-            parts.append(operand())
-        f = parts.pop()
-        while parts:
-            f = make(parts.pop(), f)
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "disj":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "conj":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        negations = 0
-        tok = self.take()
-        while tok.kind == "neg":
-            negations += 1
-            tok = self.take()
-        if tok.kind == "atom":
-            f = Atom(tok.text)
-        elif tok.kind == "lparen":
-            self.parens += 1
-            if self.parens > MAX_DEPTH:
-                raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", tok.position)
-            f = self.iff()
-            closing = self.take()
-            if closing.kind != "rparen":
-                raise FormulaSyntaxError("expected ')'", closing.position)
-            self.parens -= 1
-        elif tok.kind == "end":
-            raise FormulaSyntaxError("unexpected end of input", tok.position)
+def _parse(tokens: list[tuple[str, str, int]]) -> Formula:
+    """The tree of a _tokenize list, by the operator-precedence pass."""
+    pending: list = []
+    done: list[Formula] = []
+    groups = 0
+    want_operand = True
+    for kind, text, position in tokens:
+        if want_operand:
+            if kind == "atom":
+                done.append(Atom(text))
+                want_operand = False
+            elif kind == "neg":
+                pending.append(Not)
+            elif kind == "lparen":
+                groups += 1
+                if groups > MAX_DEPTH:
+                    raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", position)
+                pending.append(None)
+            elif kind == "end":
+                raise FormulaSyntaxError("unexpected end of input", position)
+            else:
+                raise FormulaSyntaxError(f"unexpected {text!r}", position)
+            continue
+        make = _BINARY.get(text)
+        if make is not None:
+            bar = _PRECEDENCE[make] + (make in _RIGHT_ASSOCIATIVE)
+        elif kind == ("rparen" if groups else "end"):
+            bar = 0  # closes the innermost group, or the whole formula
+        elif groups:
+            raise FormulaSyntaxError("expected ')'", position)
         else:
-            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
-        for _ in range(negations):
-            f = Not(f)
-        return f
+            raise FormulaSyntaxError(f"unexpected {text!r}", position)
+        while pending and pending[-1] is not None and _PRECEDENCE[pending[-1]] >= bar:
+            top = pending.pop()
+            if top is Not:
+                done[-1] = Not(done[-1])
+            else:
+                right = done.pop()
+                done[-1] = top(done[-1], right)
+        if make is not None:
+            pending.append(make)
+            want_operand = True
+        elif groups:
+            pending.pop()
+            groups -= 1
+    return done[0]
 
 
 def _depth(f: Formula) -> int:
@@ -258,7 +231,7 @@ def parse_formula(text: str) -> Formula:
     if not text.strip():
         raise FormulaSyntaxError("empty formula", 0)
     tokens = _tokenize(text)
-    f = _Parser(tokens).parse()
+    f = _parse(tokens)
     # Each level of depth takes a token, so short formulas skip the walk.
     if len(tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
         raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH}", 0)

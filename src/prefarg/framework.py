@@ -18,14 +18,14 @@ case A shrugs the defeat off and the edge is dropped.
 The preorder is plain data, one bitmask per argument position: bit j of
 argument i's mask says i is at least as preferred as j, and None stands
 for no preference at all. `certainty_masks` builds one mask per level,
-and `preference_closure` closes explicit pairs in one pass over the
-strongly connected components of their graph, so the closure costs
-O(n + m) mask ORs. Defeats are held the same way, one target mask per
-argument, from the builders to the semantics. The defeater masks come
-from one transpose of the target masks. With no preference the attack
-lists are the defeat lists. Otherwise the defeat of A by B is dropped
-iff B is in A's mask and A is not in B's, so the test runs only on the
-targets A of B that B's own mask leaves out.
+and the `.af` parser closes explicit pairs in one pass over the
+strongly connected components of their graph (`_reach_masks`), so the
+closure costs O(n + m) mask ORs. Defeats are held the same way, one
+target mask per argument, from the builders to the semantics. The
+defeater masks come from one transpose of the target masks. With no
+preference the attack lists are the defeat lists. Otherwise the defeat
+of A by B is dropped iff B is in A's mask and A is not in B's, so the
+test runs only on the targets A of B that B's own mask leaves out.
 
 Abstract frameworks can also be read from fact files:
 
@@ -172,18 +172,6 @@ def certainty_masks(arguments: Sequence[Argument]) -> list[int]:
         acc |= at_level[level]
         at_or_below[level] = acc
     return [at_or_below[level] for level in levels]
-
-
-def preference_closure(pairs: Iterable[tuple[str, str]], ids: Iterable[str]) -> list[int]:
-    """Close (better, worse) id pairs reflexively and transitively, one mask
-    per position of ids."""
-    index = {x: i for i, x in enumerate(dict.fromkeys(ids))}
-    succ: list[list[int]] = [[] for _ in index]
-    for x, y in pairs:
-        if x not in index or y not in index:
-            raise ValueError(f"preference pair ({x}, {y}) names an unknown argument")
-        succ[index[x]].append(index[y])
-    return _reach_masks(succ)
 
 
 class Framework:

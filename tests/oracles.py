@@ -4,13 +4,15 @@ Everything here favours clarity over speed: formulas are evaluated by
 structural recursion over explicit assignments, subsets come from
 itertools, and the semantics follow their set-theoretic definitions on
 frozensets of ids. None of it shares code with the bitmask machinery
-under test, except the walks and the parser at the end:
+under test, except the walks and the parsers at the end:
 supports_walk_oracle, subbase_walk_oracle, scan_fixed_points,
 covering_pair_oracle and sampled_monotone_oracle keep the exhaustive
 subset walks, extension scan, covering-pair walk and sampled draw walk
-the package ran before its pruned, per-class or live-part ones, and
+the package ran before its pruned, per-class or live-part ones,
 parse_af_oracle the line-by-line `.af` reader it ran before its
-whole-text scan, as references for them.
+whole-text scan, and parse_formula_oracle the recursive-descent formula
+parser it ran before its operator-precedence pass, as references for
+them.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from typing import NamedTuple
 
 from prefarg import semantics
 from prefarg.arguments import Argument
 from prefarg.coherence import Subbase
-from prefarg.errors import AFFormatError
-from prefarg.formulas import And, Atom, Formula, Iff, Implies, Not, Or, _table_for, atoms
+from prefarg.errors import AFFormatError, FormulaSyntaxError
+from prefarg.formulas import (
+    MAX_DEPTH, And, Atom, Formula, Iff, Implies, Not, Or, _depth, _table_for, _tokenize, atoms,
+)
 from prefarg.framework import Framework, _reach_masks
 from prefarg.kb import StratifiedKB
 
@@ -463,3 +468,104 @@ def parse_af_oracle(text: str) -> Framework:
         raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
     preference = _reach_masks(succ) if prefs else None
     return Framework(tuple(map(Argument, index)), targets, preference, "abstract")
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    position: int
+
+
+class _Parser:
+    # Chains and negations are read in loops; only a parenthesised group
+    # recurses, so the stack depth follows the (capped) parenthesis nesting.
+
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.parens = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.iff()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        return f
+
+    def iff(self) -> Formula:
+        return self.right_chain("iff", Iff, self.implies)
+
+    def implies(self) -> Formula:
+        return self.right_chain("implies", Implies, self.disj)
+
+    def right_chain(self, kind: str, make, operand) -> Formula:
+        f = operand()
+        if self.peek().kind != kind:
+            return f
+        parts = [f]
+        while self.peek().kind == kind:
+            self.take()
+            parts.append(operand())
+        f = parts.pop()
+        while parts:
+            f = make(parts.pop(), f)
+        return f
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek().kind == "disj":
+            self.take()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.unary()
+        while self.peek().kind == "conj":
+            self.take()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        negations = 0
+        tok = self.take()
+        while tok.kind == "neg":
+            negations += 1
+            tok = self.take()
+        if tok.kind == "atom":
+            f = Atom(tok.text)
+        elif tok.kind == "lparen":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", tok.position)
+            f = self.iff()
+            closing = self.take()
+            if closing.kind != "rparen":
+                raise FormulaSyntaxError("expected ')'", closing.position)
+            self.parens -= 1
+        elif tok.kind == "end":
+            raise FormulaSyntaxError("unexpected end of input", tok.position)
+        else:
+            raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.position)
+        for _ in range(negations):
+            f = Not(f)
+        return f
+
+
+def parse_formula_oracle(text: str) -> Formula:
+    """parse_formula with the recursive-descent parser in place of its
+    operator-precedence pass, fed the same token list."""
+    if not text.strip():
+        raise FormulaSyntaxError("empty formula", 0)
+    tokens = [_Token(*t) for t in _tokenize(text)]
+    f = _Parser(tokens).parse()
+    if len(tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
+        raise FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH}", 0)
+    return f

@@ -9,7 +9,7 @@ from conftest import fixture_text, unchecked_kb
 from prefarg.arguments import (
     DEFAULT_CAP,
     Argument,
-    _supports_by_conclusion,
+    _walk_supports,
     build_universe,
     candidate_conclusions,
     minimal_supports,
@@ -165,6 +165,12 @@ def benchmark_sized_kb(seed: int):
     return StratifiedKB((), strata), query
 
 
+def walked_supports(base, pool):
+    """The walk's minimal supports of each pool formula, as refs, in pool order."""
+    refs, _, _, mask_of, groups = _walk_supports(base, pool, DEFAULT_CAP)
+    return [[tuple(refs[i] for i in s) for s in groups[m]] for m in mask_of]
+
+
 class TestSupportWalk:
     """The irredundant walk against the full consistent-subset walk it replaced."""
 
@@ -172,26 +178,20 @@ class TestSupportWalk:
     def test_matches_full_walk_on_random_bases(self, seed):
         base, universe = randgen.random_kb(random.Random(seed))
         pool = candidate_conclusions(base, universe.query)
-        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
-            oracles.supports_walk_oracle(base, pool)
-        )
+        assert walked_supports(base, pool) == oracles.supports_walk_oracle(base, pool)
 
     @pytest.mark.parametrize("case", sorted(PRUNED_BASES))
     def test_matches_full_walk_where_pruning_fires(self, case):
         base, query = PRUNED_BASES[case]
         pool = candidate_conclusions(base, query)
-        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
-            oracles.supports_walk_oracle(base, pool)
-        )
+        assert walked_supports(base, pool) == oracles.supports_walk_oracle(base, pool)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_full_walk_at_benchmark_size(self, seed):
         base, query = benchmark_sized_kb(seed)
         assert 10 <= len(base.belief_refs()) <= 13
         pool = candidate_conclusions(base, query)
-        assert _supports_by_conclusion(base, pool, DEFAULT_CAP)[0] == (
-            oracles.supports_walk_oracle(base, pool)
-        )
+        assert walked_supports(base, pool) == oracles.supports_walk_oracle(base, pool)
 
     def test_equivalent_beliefs_never_combine(self):
         # all 2^20 subsets are consistent, but no two members are irredundant together

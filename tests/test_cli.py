@@ -277,6 +277,11 @@ class TestAccept:
         assert code == 1
         assert "needs --query" in err
 
+    def test_query_tokens_separated_by_unicode_blank(self, run):
+        answer = run("accept", fx("example2.kb"), "--query", "a\u00a0& b")
+        assert answer[0] == 0
+        assert answer == run("accept", fx("example2.kb"), "--query", "a & b")
+
     def test_bad_query_formula(self, run):
         code, _, err = run("accept", fx("example2.kb"), "--query", "a ->")
         assert code == 1

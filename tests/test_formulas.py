@@ -1,7 +1,11 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import randgen
 from prefarg.errors import CapExceededError, FormulaSyntaxError
 from prefarg.formulas import (
     MAX_DEPTH,
@@ -133,6 +137,109 @@ class TestDepthLimit:
         with pytest.raises(FormulaSyntaxError, match="parentheses nested deeper") as err:
             parse_formula("(" * 1000 + "a" + ")" * 1000)
         assert err.value.position == MAX_DEPTH
+
+
+class TestUnicodeBlanks:
+    """Every whitespace character separates tokens, as `str.isspace` says."""
+
+    @pytest.mark.parametrize("text,tree", [
+        ("a\u00a0& b", And(a, b)),
+        ("\x0ba", a),
+        ("a\u2003|b", Or(a, b)),
+    ])
+    def test_parses(self, text, tree):
+        assert parse_formula(text) == tree
+
+    def test_control_character_is_no_blank(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("a \x00b")
+        assert str(err.value) == "unexpected character '\\x00' (at offset 2)"
+
+
+# Grammar tokens and ASCII blanks, for texts that get deep into the parser.
+SOUP_TOKENS = ["a", "b", "x_1", "!", "~", "&", "|", "->", "<->", "(", ")",
+               " ", "\t", "\n", "\r", "\x0b", "\x0c"]
+OPENERS = ["(", "!", "~", "a & ", "a | ", "a -> ", "a <-> ", "!(", "(a & ", "(a -> ", "a & ("]
+CLOSERS = ["", ")", " & a)", "))", " <-> a"]
+
+
+def outcome(parse, text):
+    """The tree parse gives, or the (message, offset) of its syntax error."""
+    try:
+        return parse(text)
+    except FormulaSyntaxError as err:
+        return str(err), err.position
+
+
+def random_tree(rng, leaves):
+    """A random tree, built bottom-up from leaves atoms by random connectives."""
+    nodes = [Atom(rng.choice("abcd")) for _ in range(leaves)]
+    while True:
+        node = nodes.pop(rng.randrange(len(nodes)))
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            node = Not(node)
+        if not nodes:
+            return node
+        make = rng.choice([And, Or, Implies, Iff])
+        nodes.append(make(nodes.pop(rng.randrange(len(nodes))), node))
+
+
+def mutated(rng, text):
+    """text with a random slice replaced by zero to two soup tokens."""
+    i = rng.randint(0, len(text))
+    j = rng.randint(i, min(len(text), i + 4))
+    return text[:i] + "".join(rng.choices(SOUP_TOKENS, k=rng.randint(0, 2))) + text[j:]
+
+
+class TestAgainstRecursiveDescent:
+    """The operator-precedence pass against the recursive-descent parser it
+    replaced: equal trees, and equal messages and offsets on every error."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_token_soups(self, seed):
+        rng = random.Random(f"soup:{seed}")
+        for _ in range(1500):
+            text = "".join(rng.choices(SOUP_TOKENS, k=rng.randint(0, 30)))
+            assert outcome(parse_formula, text) == outcome(oracles.parse_formula_oracle, text)
+
+    @pytest.mark.parametrize("opener", OPENERS)
+    def test_nesting(self, opener):
+        rng = random.Random(f"nest:{opener}")
+        for n in [95, 99, 100, 101, 102, 1500, *rng.sample(range(103, 1500), 6)]:
+            for closer in CLOSERS:
+                text = opener * n + "a" + closer * n
+                assert outcome(parse_formula, text) == outcome(oracles.parse_formula_oracle, text)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rendered_and_mutated_trees(self, seed):
+        rng = random.Random(f"tree:{seed}")
+        for _ in range(200):
+            f = random_tree(rng, rng.randint(1, 40))
+            text = render(f)
+            assert parse_formula(text) == oracles.parse_formula_oracle(text) == f
+            wrapped = randgen.random_formula_text(rng, ["a", "b", "c"], rng.randint(0, 6))
+            for text in (wrapped, mutated(rng, text), mutated(rng, wrapped)):
+                assert outcome(parse_formula, text) == outcome(oracles.parse_formula_oracle, text)
+
+
+def call_with_headroom(headroom, fn):
+    """fn() called about headroom frames below the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+
+    def descend(k):
+        return descend(k - 1) if k else fn()
+
+    return descend(sys.getrecursionlimit() - headroom - depth)
+
+
+class TestLowStack:
+    def test_limit_parses_near_the_recursion_limit(self):
+        texts = ["(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, render(left_implications(MAX_DEPTH))]
+        trees = call_with_headroom(150, lambda: [parse_formula(t) for t in texts])
+        assert trees == [a, left_implications(MAX_DEPTH)]
 
 
 class TestRendering:
