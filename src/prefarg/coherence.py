@@ -192,7 +192,7 @@ def check_correspondence(
     ids_of = {sb: frozenset(a.id for a in arg_of(universe, sb)) for sb in maximal}
     fw = build_framework(universe, defeat="undercut")
     stable = stable_extensions(fw, "weak", cap)
-    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, None, "undercut")
+    flat_fw = Framework(fw.arguments, fw.defeat_targets_mask, None)
     flat_stable = {frozenset(e) for e in stable_extensions(flat_fw, "weak", cap)}
     flat_expected = set(ids_of.values())
 

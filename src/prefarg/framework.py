@@ -21,11 +21,16 @@ for no preference at all. `certainty_masks` builds one mask per level,
 and the `.af` parser closes explicit pairs in one pass over the
 strongly connected components of their graph (`_reach_masks`), so the
 closure costs O(n + m) mask ORs. Defeats are held the same way, one
-target mask per argument, from the builders to the semantics. The
-defeater masks come from one transpose of the target masks. With no
-preference the attack lists are the defeat lists. Otherwise the defeat
-of A by B is dropped iff B is in A's mask and A is not in B's, so the
-test runs only on the targets A of B that B's own mask leaves out.
+target mask per argument, from the builders to the semantics. With no
+preference the attack targets are the defeat targets. Otherwise the
+defeat of A by B is dropped iff B is in A's mask and A is not in B's,
+so the test runs only on the targets A of B that B's own mask leaves
+out, and it edits only B's target row. Every converse relation comes
+from one transpose (`_transpose`), which peels each row's bits highest
+first through a table of single-bit masks: the attacker masks from the
+attack targets once the drops are done, the holders of each belief
+from the support masks, the strict part of a preorder, and strict
+mode's defeaters in the semantics.
 
 Abstract frameworks can also be read from fact files:
 
@@ -67,9 +72,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
 from .errors import AFFormatError
-
-DEFEAT_KINDS = ("rebut", "undercut", "abstract")
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits, lowest first."""
@@ -145,13 +147,29 @@ def _checked_masks(masks: Iterable[int], n: int, what: str) -> list[int]:
     return out
 
 
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The converse of a relation given as masks: bit i of out[j] is set iff
+    bit j of masks[i] is. out holds width masks; no mask may have a bit at
+    or past width.
+
+    Each row's bits are peeled highest first, one big-int temporary per
+    bit fewer than lowest first, and read from a table of single-bit masks
+    rather than shifted.
+    """
+    bits = [1 << i for i in range(max(len(masks), width))]
+    out = [0] * width
+    for bit, m in zip(bits, masks):
+        while m:
+            j = m.bit_length() - 1
+            m ^= bits[j]
+            out[j] |= bit
+    return out
+
+
 def strict_masks(masks: Sequence[int]) -> list[int]:
     """The strict part of a preorder given as masks: j in out[i] iff i ranks
     at least as high as j and j does not rank at least as high as i."""
-    return [
-        sum(1 << j for j in _bits(m & ~(1 << i)) if not masks[j] >> i & 1)
-        for i, m in enumerate(masks)
-    ]
+    return [m & ~t for m, t in zip(masks, _transpose(masks, len(masks)))]
 
 
 def certainty_masks(arguments: Sequence[Argument]) -> list[int]:
@@ -181,14 +199,14 @@ class Framework:
     of preference[i] says argument i is at least as preferred as j; a
     preference of None prefers nothing and keeps every defeat. Each list
     holds one mask per argument, with no bit past the last position. The
-    derived masks follow at construction, by the rule above: the
-    defeaters by one transpose of the targets; with no preference, the
-    attack lists are the defeat lists themselves; with one, copies from
-    which the drop test removes edges, tried only on the targets that
-    the attacker does not rank at least as high as. `defeats` and
-    `attacks` read the edges back as id pairs in position order on each
-    access. Instances are immutable in use, which is what lets the lists
-    be shared.
+    derived masks follow at construction, by the rule above: with no
+    preference, the attack targets are the defeat targets themselves;
+    with one, a copy from which the drop test removes edges, tried only
+    on the targets that the attacker does not rank at least as high as.
+    The attacker masks are one transpose of the attack targets.
+    `defeats` and `attacks` read the edges back as id pairs in position
+    order on each access. Instances are immutable in use, which is what
+    lets the lists be shared.
     """
 
     def __init__(
@@ -196,12 +214,8 @@ class Framework:
         arguments: Iterable[Argument],
         defeat_targets: Iterable[int],
         preference: Iterable[int] | None,
-        defeat_kind: str,
     ):
-        if defeat_kind not in DEFEAT_KINDS:
-            raise ValueError(f"unknown defeat kind {defeat_kind!r}")
         self.arguments = tuple(arguments)
-        self.defeat_kind = defeat_kind
         self.ids = tuple(a.id for a in self.arguments)
         self._position = {x: i for i, x in enumerate(self.ids)}
         if len(self._position) != len(self.ids):
@@ -211,32 +225,23 @@ class Framework:
         self.preference_mask = pref = (
             None if preference is None else _checked_masks(preference, n, "preference")
         )
-        bits = [1 << i for i in range(n)]  # read, not shifted, once per edge
-        self.defeaters_mask = defeaters = [0] * n
-        for bit, m in zip(bits, targets):
-            while m:
-                j = m.bit_length() - 1
-                m ^= bits[j]
-                defeaters[j] |= bit
         if pref is None:
-            self.attack_targets_mask = targets
-            self.attackers_mask = defeaters
-            return
-        self.attack_targets_mask = attack = list(targets)
-        self.attackers_mask = attackers = list(defeaters)
-        for i, m in enumerate(targets):
-            # The defeat of j by i is dropped iff j is strictly preferred to
-            # i. A j that i ranks at least as high as never is, so only the
-            # other targets are tested.
-            m &= ~pref[i]
-            bit = bits[i]
-            while m:
-                j = m.bit_length() - 1
-                low = bits[j]
-                m ^= low
-                if pref[j] & bit:
-                    attack[i] ^= low
-                    attackers[j] ^= bit
+            self.attack_targets_mask = attack = targets
+        else:
+            self.attack_targets_mask = attack = list(targets)
+            for i, m in enumerate(targets):
+                # The defeat of j by i is dropped iff j is strictly preferred
+                # to i. A j that i ranks at least as high as never is, so only
+                # the other targets are tested.
+                m &= ~pref[i]
+                bit = 1 << i
+                while m:
+                    j = m.bit_length() - 1
+                    low = 1 << j
+                    m ^= low
+                    if pref[j] & bit:
+                        attack[i] ^= low
+        self.attackers_mask = _transpose(attack, n)
 
     @property
     def defeats(self) -> tuple[tuple[str, str], ...]:
@@ -290,10 +295,7 @@ def build_framework(
     if defeat == "rebut":
         filed = zip(conclusions, (1 << k for k in range(len(args))))
     else:
-        holders = [0] * len(universe.belief_masks)
-        for k, support in enumerate(universe.support_masks):
-            for p in _bits(support):
-                holders[p] |= 1 << k
+        holders = _transpose(universe.support_masks, len(universe.belief_masks))
         filed = zip(universe.belief_masks, holders)
     through: dict[int, int] = {}
     for mask, members in filed:
@@ -301,7 +303,7 @@ def build_framework(
         through[key] = through.get(key, 0) | members
     targets = [through.get(m, 0) for m in conclusions]
     pref = certainty_masks(args) if preference == "certainty" else None
-    return Framework(args, targets, pref, defeat)
+    return Framework(args, targets, pref)
 
 
 # The line boundaries of str.splitlines. A comment ends at one, and the
@@ -362,4 +364,4 @@ def parse_abstract_framework(text: str) -> Framework:
     # Argument(x) through tuple.__new__, with no Python-level __new__ per name.
     none = repeat(None)
     arguments = tuple(map(tuple.__new__, repeat(Argument), zip(index, none, none, none, none)))
-    return Framework(arguments, targets, preference, "abstract")
+    return Framework(arguments, targets, preference)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .arguments import DEFAULT_CAP, check_cap
-from .framework import Framework, _bits, strict_masks
+from .framework import Framework, _bits, _transpose, strict_masks
 
 MODES = ("weak", "strict")
 
@@ -66,11 +66,6 @@ def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:
         out.append(ids[j])
         mask ^= 1 << j
     return tuple(reversed(out))
-
-
-def _ids_without(fw: Framework, sources: list[int]) -> tuple[str, ...]:
-    """Ids of the arguments whose source mask is empty, in framework order."""
-    return tuple(x for x, m in zip(fw.ids, sources) if not m)
 
 
 # The operator kernels below walk set bits inline, lowest first, rather
@@ -137,6 +132,14 @@ def _not_attacked(fw: Framework, attacked: int) -> int:
     return ((1 << len(fw.arguments)) - 1) & ~attacked
 
 
+def _unhit(targets: list[int]) -> int:
+    """The positions that no mask of targets holds."""
+    hit = 0
+    for m in targets:
+        hit |= m
+    return ((1 << len(targets)) - 1) & ~hit
+
+
 def _conflict_free_mask(fw: Framework, s: int, mode: str, attacked: int | None = None) -> bool:
     """Whether s is conflict-free in the mode.
 
@@ -157,12 +160,12 @@ def _conflict_free_mask(fw: Framework, s: int, mode: str, attacked: int | None =
 
 def class_cr(fw: Framework) -> frozenset[str]:
     """Arguments with no defeater at all."""
-    return frozenset(_ids_without(fw, fw.defeaters_mask))
+    return _ids_of(fw, _unhit(fw.defeat_targets_mask))
 
 
 def class_cr_pref(fw: Framework) -> frozenset[str]:
     """Arguments strictly preferred to every defeater, i.e. never attacked."""
-    return frozenset(_ids_without(fw, fw.attackers_mask))
+    return _ids_of(fw, _unhit(fw.attack_targets_mask))
 
 
 def conflict_free(fw: Framework, ids: Iterable[str], mode: str = "weak") -> bool:
@@ -276,7 +279,8 @@ def _fixed_points(fw: Framework, mode: str, cap: int) -> list[int]:
     _check_mode(mode)
     check_cap(fw.arguments, "arguments", cap)
     if mode == "strict":
-        targets, sources = fw.defeat_targets_mask, fw.defeaters_mask
+        targets = fw.defeat_targets_mask
+        sources = _transpose(targets, len(targets))
     else:
         targets, sources = fw.attack_targets_mask, fw.attackers_mask
     clash = [t | s | 1 << i for i, (t, s) in enumerate(zip(targets, sources))]
@@ -374,8 +378,8 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     stable = [s for s in complete if _not_attacked(fw, _attacked_by(fw, s)) == s]
     return ExtensionReport(
         mode=mode,
-        class_r=_ids_without(fw, fw.defeaters_mask),
-        class_r_pref=_ids_without(fw, fw.attackers_mask),
+        class_r=_ordered_ids(fw, _unhit(fw.defeat_targets_mask)),
+        class_r_pref=_ordered_ids(fw, _unhit(targets)),
         grounded=tuple(fw.ids[i] for i in members),
         greatest_fixed_point=_ordered_ids(fw, gfp_mask),
         complete=tuple(_ordered_ids(fw, s) for s in complete),
@@ -550,7 +554,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
            all(strict[j] & ~m & ~(1 << i) == 0 for i, m in enumerate(strict) for j in _bits(m)))
 
     # Pointwise operator laws over the pool.
-    unattacked = _mask_of(fw, class_cr_pref(fw))
+    unattacked = _unhit(targets)
     record("f_of_empty_is_unattacked_class", f_table[att_of[0]] == unattacked)
     record("g_of_empty_is_everything", g_table[att_of[0]] == full)
     record("g_of_everything_is_unattacked_class", g_table[att_of[full]] == unattacked)

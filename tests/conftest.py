@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from prefarg.framework import strict_masks
 from prefarg.kb import StratifiedKB
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -33,12 +32,15 @@ def unchecked_kb(core: tuple, strata: tuple) -> StratifiedKB:
 
 def strict_pairs(masks, arguments) -> list[tuple[str, str]]:
     """The strict part of a preorder given as masks, as (better, worse) id
-    pairs in listing order; None, no preference, has none."""
+    pairs in listing order; None, no preference, has none. Read off the
+    definition, bit j of masks[i] set and bit i of masks[j] clear, pair by
+    pair, so that it stays a reference for `framework.strict_masks`."""
     ids = [a.id for a in arguments]
+    masks = masks or ()
     return [
         (ids[i], ids[j])
-        for i, m in enumerate(strict_masks(masks or ()))
-        for j in range(len(ids)) if m >> j & 1
+        for i, m in enumerate(masks)
+        for j in range(len(ids)) if m >> j & 1 and not masks[j] >> i & 1
     ]
 
 

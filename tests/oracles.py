@@ -467,7 +467,7 @@ def parse_af_oracle(text: str) -> Framework:
     except KeyError as err:
         raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
     preference = _reach_masks(succ) if prefs else None
-    return Framework(tuple(map(Argument, index)), targets, preference, "abstract")
+    return Framework(tuple(map(Argument, index)), targets, preference)
 
 
 class _Token(NamedTuple):

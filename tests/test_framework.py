@@ -18,9 +18,11 @@ from prefarg.formulas import parse_formula
 from prefarg.framework import (
     Framework,
     _reach_masks,
+    _transpose,
     build_framework,
     certainty_masks,
     parse_abstract_framework,
+    strict_masks,
 )
 from prefarg.kb import parse_kb
 
@@ -50,10 +52,10 @@ def closure_masks(pairs, ids):
 
 def assert_round_trips(fw):
     """Rebuilding from the defeat-target masks gives the same edges and masks."""
-    again = Framework(fw.arguments, fw.defeat_targets_mask, fw.preference_mask, fw.defeat_kind)
+    again = Framework(fw.arguments, fw.defeat_targets_mask, fw.preference_mask)
     assert again.defeats == fw.defeats
     assert again.attacks == fw.attacks
-    for name in ("defeat_targets_mask", "defeaters_mask", "attack_targets_mask", "attackers_mask"):
+    for name in ("defeat_targets_mask", "attack_targets_mask", "attackers_mask"):
         assert getattr(again, name) == getattr(fw, name), name
 
 
@@ -76,7 +78,7 @@ class TestPreferenceRelation:
 
     def test_none_is_reflexive_only(self):
         args = [Argument(id="X"), Argument(id="Y")]
-        fw = Framework(args, [0b10, 0b01], None, "abstract")
+        fw = Framework(args, [0b10, 0b01], None)
         assert fw.preference_mask is None
         assert fw.attacks == fw.defeats == (("X", "Y"), ("Y", "X"))
         assert strict_pairs([0b01, 0b10], args) == []
@@ -166,11 +168,11 @@ def set_bits(mask):
 
 
 def assert_derived_masks(targets, pref):
-    """The four edge lists of a framework match the per-pair rule: i defeats j
+    """The three edge lists of a framework match the per-pair rule: i defeats j
     when bit j of targets[i] is set, and that defeat is dropped iff bit i is in
     pref[j] and bit j is not in pref[i]."""
     n = len(targets)
-    fw = Framework([Argument(id=f"N{i}") for i in range(n)], targets, pref, "abstract")
+    fw = Framework([Argument(id=f"N{i}") for i in range(n)], targets, pref)
     defeats = {(i, j) for i, m in enumerate(targets) for j in set_bits(m)}
     attacks = {
         (i, j) for i, j in defeats
@@ -186,7 +188,6 @@ def assert_derived_masks(targets, pref):
         return {(i, j) for j, m in enumerate(masks) for i in set_bits(m)}
 
     assert by_source(fw.defeat_targets_mask) == defeats
-    assert by_target(fw.defeaters_mask) == defeats
     assert by_source(fw.attack_targets_mask) == attacks
     assert by_target(fw.attackers_mask) == attacks
 
@@ -363,7 +364,7 @@ class TestFrameworkClass:
     def test_duplicate_ids_rejected(self):
         args = (Argument(id="X"), Argument(id="X"))
         with pytest.raises(ValueError):
-            Framework(args, [0, 0], None, "abstract")
+            Framework(args, [0, 0], None)
 
     @pytest.mark.parametrize("targets,preference", [
         ([0b01], None),
@@ -385,14 +386,14 @@ class TestFrameworkClass:
     def test_malformed_defeat_masks_rejected(self, targets, preference):
         args = (Argument(id="X"), Argument(id="Y"))
         with pytest.raises(ValueError):
-            Framework(args, targets, preference, "abstract")
+            Framework(args, targets, preference)
 
     def test_mask_count_checked_at_the_edges(self):
         for preference in (None, []):
-            fw = Framework((), [], preference, "abstract")
-            assert fw.defeaters_mask == fw.attack_targets_mask == []
+            fw = Framework((), [], preference)
+            assert fw.attackers_mask == fw.attack_targets_mask == []
         with pytest.raises(ValueError):
-            Framework((Argument(id="X"),), [0], [], "abstract")
+            Framework((Argument(id="X"),), [0], [])
 
     def test_parsed_arguments_are_plain_abstract_arguments(self):
         fw = parse_abstract_framework("arg(A). arg(b_2). def(A,b_2). arg(_).")
@@ -452,6 +453,63 @@ class TestFrameworkClass:
             targets[k] |= 1 << rng.choice(edges) | 1 << rng.randrange(n) | 1 << k
             targets[rng.randrange(n)] |= 1 << k
         assert_derived_masks(targets, random_preference_masks(rng, n, style))
+
+
+def pairs_of(masks):
+    """The (row, bit) pairs of a relation given as masks, read off binary digits."""
+    return {(i, j) for i, m in enumerate(masks) for j in set_bits(m)}
+
+
+class TestStrictMasks:
+    @pytest.mark.parametrize("style", PREF_MASK_STYLES[1:])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 29, 31, 45, 70])
+    def test_follow_the_definition(self, n, style):
+        rng = random.Random(f"strict:{n}:{style}")
+        args = [Argument(id=f"N{i}") for i in range(n)]
+        ids = [a.id for a in args]
+        for _ in range(4):
+            masks = random_preference_masks(rng, n, style)
+            assert [
+                (ids[i], ids[j]) for i, m in enumerate(strict_masks(masks)) for j in set_bits(m)
+            ] == strict_pairs(masks, args)
+
+
+class TestTranspose:
+    """`_transpose` reverses every pair of a relation given as masks."""
+
+    @pytest.mark.parametrize("rows,width", [
+        (1, 1), (2, 2), (5, 5), (8, 3), (3, 8), (1, 40), (40, 1),
+        (29, 31), (31, 29), (30, 61), (61, 30), (70, 200), (200, 70),
+    ])
+    def test_matches_pair_oracle(self, rows, width):
+        rng = random.Random(f"transpose:{rows}:{width}")
+        for _ in range(6):
+            density = rng.choice([0.0, 0.05, 0.3, 0.9, 1.0])
+            masks = [
+                sum(1 << j for j in range(width) if rng.random() < density)
+                if rng.random() < 0.8 else 0
+                for _ in range(rows)
+            ]
+            out = _transpose(masks, width)
+            assert len(out) == width
+            assert pairs_of(out) == {(j, i) for i, j in pairs_of(masks)}
+
+    def test_empty_list(self):
+        assert _transpose([], 0) == []
+        assert _transpose([], 3) == [0, 0, 0]
+
+    def test_zero_rows(self):
+        assert _transpose([0, 0, 0], 0) == []
+        assert _transpose([0, 0, 0], 2) == [0, 0]
+        assert _transpose([0, 0b101, 0], 3) == [0b010, 0, 0b010]
+
+    def test_one_wide_row(self):
+        rng = random.Random("transpose:wide")
+        row = rng.getrandbits(3000) | 1 << 2999 | 1
+        out = _transpose([row], 3000)
+        assert out == [row >> j & 1 for j in range(3000)]
+        assert _transpose([(1 << 3000) - 1], 3000) == [1] * 3000
+        assert _transpose(out, 1) == [row]
 
 
 class TestAbstractParsing:
@@ -626,7 +684,7 @@ class TestParserAgainstFactLists:
             targets[position[x]] += 1 << position[y]
         reference = Framework(
             [Argument(id=x) for x in ids], targets,
-            closure_masks(prefs, ids) if prefs else None, "abstract",
+            closure_masks(prefs, ids) if prefs else None,
         )
         fw = parse_abstract_framework(text)
         assert fw.ids == reference.ids

@@ -749,7 +749,7 @@ class TestSelfCheck:
         # Raw masks that skip the closure: A is above B and B above C, but
         # A's mask leaves out C.
         pref = (0b011, 0b110, 0b100)
-        fw = Framework([Argument(x) for x in "ABC"], [0, 0, 0], pref, "abstract")
+        fw = Framework([Argument(x) for x in "ABC"], [0, 0, 0], pref)
         status = {r.name: r.status for r in self_check(fw).results}
         assert status["preference_strict_part_transitive"] == "fail"
         assert status["preference_strict_part_asymmetric"] == "pass"
