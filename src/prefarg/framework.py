@@ -25,12 +25,14 @@ target mask per argument, from the builders to the semantics. With no
 preference the attack targets are the defeat targets. Otherwise the
 defeat of A by B is dropped iff B is in A's mask and A is not in B's,
 so the test runs only on the targets A of B that B's own mask leaves
-out, and it edits only B's target row. Every converse relation comes
-from one transpose (`_transpose`), which peels each row's bits highest
-first through a table of single-bit masks: the attacker masks from the
-attack targets once the drops are done, the holders of each belief
-from the support masks, the strict part of a preorder, and strict
-mode's defeaters in the semantics.
+out; it clears A's bit in B's target row and B's bit in A's attacker
+mask. Every converse relation comes from one transpose (`_transpose`),
+which peels each row's bits highest first through a table of
+single-bit masks: the defeaters, from which the drop test then clears
+the dropped edges, the holders of each belief from the support masks,
+the strict part of a preorder, and strict mode's defeaters in the
+semantics. The `.af` parser alone needs no transpose: it fills the
+defeaters along with the targets.
 
 Abstract frameworks can also be read from fact files:
 
@@ -56,18 +58,23 @@ declared name to its position, the defeats as two name lists (sources
 and sinks), and the preference pairs. The first stray, fact with the
 wrong number of names or duplicate `arg` in file order stops the read;
 only then is its line found, as `str.splitlines` counts lines, by
-scanning the text again up to it. Names are checked once the read is
-done, while the defeat-target masks and the preference graph's
-successor lists are built by position: every defeat in file order,
-source before sink, then every preference pair. So a `def` may precede
-the `arg` facts that declare its names, and the closure
-(`_reach_masks`) reads positions with no name looked up again.
+scanning the text again up to it. Names become positions once the
+read is done, the defeat sources and sinks each in one C-level `map`
+over the dict; on a miss the names are scanned again in file order,
+every defeat's source then its sink and then every preference pair, so
+the error names the first undeclared one. So a `def` may precede the
+`arg` facts that declare its names. One pass over the position pairs
+then fills the defeat targets and the defeaters from a table of
+single-bit masks, and the closure (`_reach_masks`) reads the preference
+graph's position lists with no name looked up again. The framework
+takes the name dict and both mask lists as they are, through
+`Framework._derive`, so no edge is walked twice.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .arguments import Argument, ArgumentUniverse
@@ -203,10 +210,13 @@ class Framework:
     preference, the attack targets are the defeat targets themselves;
     with one, a copy from which the drop test removes edges, tried only
     on the targets that the attacker does not rank at least as high as.
-    The attacker masks are one transpose of the attack targets.
-    `defeats` and `attacks` read the edges back as id pairs in position
-    order on each access. Instances are immutable in use, which is what
-    lets the lists be shared.
+    The attacker masks start as one transpose of the defeat targets, and
+    the drop test clears each dropped edge from them too. The `.af`
+    parser, which fills the defeaters along with the targets, hands its
+    parts to `_derive` as they are: its name-to-position dict and both
+    mask lists, so no transpose runs. `defeats` and `attacks` read the
+    edges back as id pairs in position order on each access. Instances
+    are immutable in use, which is what lets the lists be shared.
     """
 
     def __init__(
@@ -215,33 +225,46 @@ class Framework:
         defeat_targets: Iterable[int],
         preference: Iterable[int] | None,
     ):
-        self.arguments = tuple(arguments)
-        self.ids = tuple(a.id for a in self.arguments)
-        self._position = {x: i for i, x in enumerate(self.ids)}
-        if len(self._position) != len(self.ids):
+        arguments = tuple(arguments)
+        position = {a.id: i for i, a in enumerate(arguments)}
+        if len(position) != len(arguments):
             raise ValueError("duplicate argument id")
-        n = len(self.ids)
-        self.defeat_targets_mask = targets = _checked_masks(defeat_targets, n, "defeat-target")
-        self.preference_mask = pref = (
-            None if preference is None else _checked_masks(preference, n, "preference")
-        )
+        n = len(arguments)
+        targets = _checked_masks(defeat_targets, n, "defeat-target")
+        pref = None if preference is None else _checked_masks(preference, n, "preference")
+        self._derive(arguments, position, targets, pref, _transpose(targets, n))
+
+    def _derive(self, arguments: tuple[Argument, ...], position: dict[str, int],
+                targets: list[int], pref: list[int] | None, attackers: list[int]) -> None:
+        """Keep checked parts as they are and derive the attacks from them.
+
+        attackers is the transpose of targets, a list the framework owns
+        from here on: the drop test clears each dropped edge from it as
+        well as from a copy of targets.
+        """
+        self.arguments = arguments
+        self.ids = tuple(position)
+        self._position = position
+        self.defeat_targets_mask = targets
+        self.preference_mask = pref
+        self.attackers_mask = attackers
         if pref is None:
-            self.attack_targets_mask = attack = targets
-        else:
-            self.attack_targets_mask = attack = list(targets)
-            for i, m in enumerate(targets):
-                # The defeat of j by i is dropped iff j is strictly preferred
-                # to i. A j that i ranks at least as high as never is, so only
-                # the other targets are tested.
-                m &= ~pref[i]
-                bit = 1 << i
-                while m:
-                    j = m.bit_length() - 1
-                    low = 1 << j
-                    m ^= low
-                    if pref[j] & bit:
-                        attack[i] ^= low
-        self.attackers_mask = _transpose(attack, n)
+            self.attack_targets_mask = targets
+            return
+        self.attack_targets_mask = attack = list(targets)
+        for i, m in enumerate(targets):
+            # The defeat of j by i is dropped iff j is strictly preferred
+            # to i. A j that i ranks at least as high as never is, so only
+            # the other targets are tested.
+            m &= ~pref[i]
+            bit = 1 << i
+            while m:
+                j = m.bit_length() - 1
+                low = 1 << j
+                m ^= low
+                if pref[j] & bit:
+                    attack[i] ^= low
+                    attackers[j] ^= bit
 
     @property
     def defeats(self) -> tuple[tuple[str, str], ...]:
@@ -350,18 +373,28 @@ def parse_abstract_framework(text: str) -> Framework:
         elif kind or stray:
             # Every match before this one was a fact, so the facts read count them.
             raise _fact_error(text, len(index) + len(sources) + len(prefs))
-    targets = [0] * len(index)
-    succ: list[list[int]] = [[] for _ in index] if prefs else []
     try:
-        for x, y in zip(sources, sinks):
-            i = index[x]  # the source's name is checked before the sink's
-            targets[i] |= 1 << index[y]
+        # Names become positions at C level; on a miss the lists are scanned
+        # again in file order, so the error names the first undeclared name.
+        heads = list(map(index.__getitem__, sources))
+        tails = list(map(index.__getitem__, sinks))
+        succ: list[list[int]] = [[] for _ in index] if prefs else []
         for x, y in prefs:
             succ[index[x]].append(index[y])
-    except KeyError as err:
-        raise AFFormatError(f"fact names undeclared argument {err.args[0]!r}") from None
+    except KeyError:
+        names = chain.from_iterable(chain(zip(sources, sinks), prefs))
+        name = next(x for x in names if x not in index)
+        raise AFFormatError(f"fact names undeclared argument {name!r}") from None
+    bits = [1 << i for i in range(len(index))]
+    targets = [0] * len(index)
+    attackers = [0] * len(index)
+    for i, j in zip(heads, tails):
+        targets[i] |= bits[j]
+        attackers[j] |= bits[i]
     preference = _reach_masks(succ) if prefs else None
     # Argument(x) through tuple.__new__, with no Python-level __new__ per name.
     none = repeat(None)
     arguments = tuple(map(tuple.__new__, repeat(Argument), zip(index, none, none, none, none)))
-    return Framework(arguments, targets, preference)
+    fw = Framework.__new__(Framework)
+    fw._derive(arguments, index, targets, preference, attackers)
+    return fw

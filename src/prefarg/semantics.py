@@ -9,11 +9,11 @@ points of f_step; stable extensions are the conflict-free fixed points
 of g_step, equivalently the conflict-free sets attacking every outside
 argument.
 
-The grounded extension comes from a labelling by attacker counting, run
-in rounds: round k labels IN exactly what the k-th application of
-f_step from the empty set adds, so the rounds count the applications
-that iteration makes, while the whole labelling costs O(n + m) mask
-operations for n arguments and m attacks.
+The grounded extension comes from the grounded labelling of Modgil and
+Caminada, run in rounds on masks: round k labels IN exactly what the
+k-th application of f_step from the empty set adds, so the rounds count
+the applications that iteration makes, while the whole labelling costs
+O(n + m) mask operations for n arguments and m attacks.
 
 Conflict-freeness is checked against attack edges by default ("weak");
 "strict" mode rules out defeat edges inside a set even when preference
@@ -194,47 +194,53 @@ def grounded_extension(fw: Framework) -> tuple[frozenset[str], int]:
 def _grounded_labelling(fw: Framework) -> tuple[list[int], int]:
     """Positions of the grounded extension, by the grounded labelling in rounds.
 
-    Each argument counts its attackers not yet OUT. The unattacked
-    arguments form the first IN frontier. Each IN argument turns its
-    attack targets OUT, each argument going OUT once, and each newly OUT
-    argument lowers its targets' counts; a count that reaches 0 puts its
-    argument on the next frontier. Frontier k is f_step^k(empty) less
-    f_step^(k-1)(empty), and every attack edge is walked at most twice,
-    so the labelling costs O(n + m) mask operations. Set bits are peeled
-    highest position first, one big-int temporary per bit fewer than
-    lowest first, so the positions within a round come in no order that
-    callers may rely on: they sort the positions or OR them.
+    The unattacked arguments form the first IN frontier. Each round ORs
+    the frontier's attack targets, less those already OUT, into the
+    newly OUT set. Each newly OUT argument is peeled once and its targets
+    OR'd into a candidate set, less OUT; the next frontier is the
+    candidates whose attacker mask lies within OUT. So frontier k is
+    f_step^k(empty) less f_step^(k-1)(empty). Each argument goes OUT
+    once, and a candidate test stands for an edge from a newly OUT
+    argument, so the labelling costs O(n + m) mask operations and keeps
+    no attacker counts. Set bits are peeled highest position first, one
+    big-int temporary per bit fewer than lowest first, so the positions
+    within a round come in no order that callers may rely on: they sort
+    the positions or OR them.
 
     Also returns the number of f_step applications that iterating from
     the empty set performs, including the final one that confirms the
     fixed point: 1 + the number of non-empty frontiers.
     """
     targets = fw.attack_targets_mask
-    count = [m.bit_count() for m in fw.attackers_mask]
-    frontier = [i for i, c in enumerate(count) if not c]
+    attackers = fw.attackers_mask
+    frontier = [i for i, m in enumerate(attackers) if not m]
     members: list[int] = []
     out = 0
     iterations = 1
-    # An OUT argument keeps the IN attacker that put it OUT, so its count
-    # never reaches 0: no argument is labelled both IN and OUT.
     while frontier:
         iterations += 1
         members += frontier
-        nxt = []
+        hit = 0
         for i in frontier:
-            hit = targets[i] & ~out
-            out |= hit
-            while hit:
-                k = hit.bit_length() - 1
-                hit ^= 1 << k
-                rest = targets[k]
-                while rest:
-                    j = rest.bit_length() - 1
-                    rest ^= 1 << j
-                    count[j] -= 1
-                    if not count[j]:
-                        nxt.append(j)
-        frontier = nxt
+            hit |= targets[i]
+        hit &= ~out
+        out |= hit
+        # Only a target of a newly OUT argument can have just lost its last
+        # attacker not OUT. No IN argument is one: its attackers all went
+        # OUT before it went IN. An OUT one keeps an IN attacker.
+        cand = 0
+        while hit:
+            k = hit.bit_length() - 1
+            hit ^= 1 << k
+            cand |= targets[k]
+        live = ~out
+        cand &= live
+        frontier = []
+        while cand:
+            j = cand.bit_length() - 1
+            cand ^= 1 << j
+            if not attackers[j] & live:
+                frontier.append(j)
     return members, iterations
 
 
@@ -374,12 +380,14 @@ def evaluate(fw: Framework, mode: str = "weak", cap: int = DEFAULT_CAP) -> Exten
     capped = len(fw.arguments) > cap
     # f_step is g_step applied twice, so every stable extension is also a
     # complete one: one search for complete extensions yields both lists.
-    complete = [] if capped else [_mask_of(fw, e) for e in complete_extensions(fw, mode, cap)]
+    complete = [] if capped else _fixed_points(fw, mode, cap)
     stable = [s for s in complete if _not_attacked(fw, _attacked_by(fw, s)) == s]
+    class_r = _ordered_ids(fw, _unhit(fw.defeat_targets_mask))
     return ExtensionReport(
         mode=mode,
-        class_r=_ordered_ids(fw, _unhit(fw.defeat_targets_mask)),
-        class_r_pref=_ordered_ids(fw, _unhit(targets)),
+        class_r=class_r,
+        class_r_pref=class_r if targets is fw.defeat_targets_mask else _ordered_ids(
+            fw, _unhit(targets)),
         grounded=tuple(fw.ids[i] for i in members),
         greatest_fixed_point=_ordered_ids(fw, gfp_mask),
         complete=tuple(_ordered_ids(fw, s) for s in complete),
@@ -484,8 +492,8 @@ def self_check(fw: Framework) -> SelfCheckReport:
     MAX_EXHAUSTIVE.
 
     grounded_is_fixed_point and grounded_is_union_of_f_chain cross-check
-    two independent algorithms: grounded_extension labels by attacker
-    counting and never calls _defended, while the laws apply _defended
+    two independent algorithms: grounded_extension labels on attacker
+    masks in rounds and never calls _defended, while the laws apply _defended
     to its answer and rebuild the least fixed point by iterating
     _defended from the unattacked class.
     """
@@ -668,7 +676,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
 
     # Extension laws need full enumeration.
     if exhaustive:
-        complete = [_mask_of(fw, e) for e in complete_extensions(fw, "weak", MAX_EXHAUSTIVE)]
+        complete = _fixed_points(fw, "weak", MAX_EXHAUSTIVE)
         stable = [s for s in complete if g_table[att_of[s]] == s]
         record("grounded_is_complete", grounded in complete)
         record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))

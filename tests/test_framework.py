@@ -692,6 +692,46 @@ class TestParserAgainstFactLists:
         assert fw.defeat_targets_mask == reference.defeat_targets_mask
         assert fw.preference_mask == reference.preference_mask
         assert fw.attack_targets_mask == reference.attack_targets_mask
+        assert fw.attackers_mask == reference.attackers_mask
+        assert [fw.position(x) for x in ids] == list(range(n))
+        assert_round_trips(fw)
+
+
+class TestParserHandOver:
+    """The masks the parser hands the framework, on small texts whose
+    edges repeat, loop, come before their names or are dropped."""
+
+    @pytest.mark.parametrize("text,attacks", [
+        ("arg(a). arg(b). def(a,b). def(a,b). def(b,a). def(a,b).",
+         (("a", "b"), ("b", "a"))),
+        ("arg(a). arg(b). def(a,a). def(a,b). def(b,b).",
+         (("a", "a"), ("a", "b"), ("b", "b"))),
+        ("def(c,a). def(a,b). def(b,c). arg(c). arg(a). arg(b).",
+         (("c", "a"), ("a", "b"), ("b", "c"))),
+        # a > b > c > a collapses into one class, so no defeat inside it
+        # drops; d sits below the class and loses both its defeats on it.
+        ("arg(a). arg(b). arg(c). arg(d). def(a,b). def(b,c). def(c,a). def(d,a). "
+         "def(d,c). def(a,d). def(d,d). pref(a,b). pref(b,c). pref(c,a). pref(c,d).",
+         (("a", "b"), ("a", "d"), ("b", "c"), ("c", "a"), ("d", "d"))),
+        # Mutual defeats under a two-cycle and a strict pair: only the
+        # strictly weaker side's defeat drops, and the self-defeat stays.
+        ("def(b,a). def(a,b). def(c,b). def(b,c). def(c,c). pref(a,b). pref(b,a). "
+         "pref(b,c). arg(a). arg(b). arg(c). def(c,b).",
+         (("a", "b"), ("b", "a"), ("b", "c"), ("c", "c"))),
+    ], ids=["duplicate-defeats", "self-defeats", "defeats-before-args",
+            "pref-cycle-drops", "mutual-and-strict-drops"])
+    def test_small_texts(self, text, attacks):
+        # The line reader builds its framework through the public
+        # constructor, which takes the transpose itself.
+        fw, expected = parse_abstract_framework(text), oracles.parse_af_oracle(text)
+        assert fw.ids == expected.ids
+        assert [fw.position(x) for x in fw.ids] == list(range(len(fw.ids)))
+        for name in ("defeat_targets_mask", "preference_mask", "attack_targets_mask",
+                     "attackers_mask"):
+            assert getattr(fw, name) == getattr(expected, name), name
+        assert pairs_of(fw.attackers_mask) == {(j, i) for i, j in pairs_of(fw.attack_targets_mask)}
+        assert fw.attacks == attacks
+        assert_round_trips(fw)
 
 
 # Every line boundary of str.splitlines, and blanks that are none.
@@ -774,5 +814,6 @@ class TestParserAgainstLineReader:
             assert fw.defeat_targets_mask == expected.defeat_targets_mask, repr(text)
             assert fw.preference_mask == expected.preference_mask, repr(text)
             assert fw.attack_targets_mask == expected.attack_targets_mask, repr(text)
+            assert fw.attackers_mask == expected.attackers_mask, repr(text)
             outcomes["parsed"] += 1
         assert min(outcomes.values()) >= 500, outcomes

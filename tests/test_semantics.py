@@ -298,6 +298,52 @@ class TestAgainstOracles:
             assert set(stable_extensions(fw)) == oracles.stable_oracle(ids, atk)
 
 
+def edges_af(edges):
+    """A framework of the named edges, "a>b" for a defeats b; its arguments
+    are declared in order of first mention."""
+    pairs = [e.split(">") for e in edges.split()]
+    names = dict.fromkeys(x for pair in pairs for x in pair)
+    facts = [f"arg({x})." for x in names] + [f"def({x},{y})." for x, y in pairs]
+    return parse_abstract_framework(" ".join(facts))
+
+
+class TestGroundedLabellingShapes:
+    """Shapes that the rounds of the grounded labelling must get right,
+    pinned to members and f_step applications."""
+
+    @pytest.mark.parametrize("edges,grounded,iterations", [
+        # x's attackers go OUT in rounds 1 (b) and 2 (d): x is a candidate
+        # in both rounds and goes IN only in round 3.
+        ("a>b a>f f>e e>d b>x d>x", "aex", 4),
+        # A self-attacker no one attacks keeps its chain undecided; one put
+        # OUT by an unattacked argument lets the chain behind it alternate.
+        ("s>s s>c c>d d>e u>t t>t t>p p>q q>r", "upr", 4),
+        # An odd cycle upstream of a chain leaves it undecided, but for
+        # what an unattacked argument reaches.
+        ("a>b b>c c>a c>d d>e e>f u>e", "uf", 3),
+        ("a>a", "", 1),
+        ("a>b b>a b>c c>d", "", 1),
+    ], ids=["attackers-out-in-different-rounds", "self-attacker-feeding-a-chain",
+            "odd-cycle-upstream-of-a-chain", "lone-self-attacker", "even-cycle"])
+    def test_shapes_match_the_rounds_oracle(self, edges, grounded, iterations):
+        fw = edges_af(edges)
+        expected = oracles.grounded_rounds_oracle(set(fw.ids), set(fw.attacks))
+        assert expected == (frozenset(grounded), iterations)
+        assert grounded_extension(fw) == expected
+        members, rounds = semantics._grounded_labelling(fw)
+        assert len(members) == len(set(members)) and rounds == iterations
+
+    def test_three_thousand_argument_chain(self):
+        # One round per IN member, 1500 of them, each peeling one OUT
+        # argument; the labelling loops rather than recurses.
+        fw = chain(3000)
+        expected = grounded_by_attacker_sets(fw.ids, set(fw.attacks))
+        assert expected == (frozenset(f"N{i}" for i in range(0, 3000, 2)), 1501)
+        assert grounded_extension(fw) == expected
+        members, _ = semantics._grounded_labelling(fw)
+        assert members == list(range(0, 3000, 2))
+
+
 def large_af_text(rng, n, with_prefs):
     """n arguments, 2n random defeat facts and, with prefs, n random
     preference facts, 16 arg facts to a line."""
@@ -510,14 +556,14 @@ class TestSelfCheck:
 
     @pytest.mark.parametrize("fw_name", ["example1.af", "chain13", *SPARSE16])
     def test_kernels_run_once_per_attacked_set(self, monkeypatch, fw_name):
-        # The search behind complete_extensions makes its own kernel calls,
+        # The search for complete extensions makes its own kernel calls,
         # so it is replaced by its answer to count self_check's alone.
         if fw_name in SPARSE16:
             fw = sparse16(fw_name)
         else:
             fw = chain(MAX_EXHAUSTIVE + 1) if fw_name == "chain13" else load(fw_name)
-        complete = complete_extensions(fw, cap=len(fw.arguments))
-        monkeypatch.setattr(semantics, "complete_extensions", lambda *a: complete)
+        complete = semantics._fixed_points(fw, "weak", len(fw.arguments))
+        monkeypatch.setattr(semantics, "_fixed_points", lambda *a: complete)
         calls = {"_defended": Counter(), "_not_attacked": Counter()}
         for name, seen in calls.items():
             real = getattr(semantics, name)

@@ -1,12 +1,21 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 from conftest import SRC
 
 TOOLS = Path(__file__).parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("dead_names", TOOLS / "dead_names.py")
-dead_names = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(dead_names)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dead_names = load_tool("dead_names")
+code_count = load_tool("code_count")
 
 
 def write_package(root: Path, modules: dict[str, str]) -> Path:
@@ -61,3 +70,38 @@ class TestDeadNames:
     def test_package_has_none(self, capsys):
         assert dead_names.main([str(SRC / "prefarg")]) == 0
         assert capsys.readouterr().out == ""
+
+
+class TestCodeCount:
+    def test_counts_code_lines_only(self):
+        assert code_count.code_lines(
+            '"""Doc\nstring."""\n\n# comment\nx = (1,\n     2)  # trailing\n'
+            'def f():\n    """Doc."""\n    return x\n'
+        ) == 4
+
+    def test_against_a_revision(self, tmp_path, capsys):
+        repo = tmp_path / "repo"
+        package = write_package(repo, {"a.py": "x = 1\n", "b.py": "y = 2\nz = 3\n"})
+
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                           cwd=repo, check=True, capture_output=True)
+
+        git("init", "-q")
+        git("add", ".")
+        git("commit", "-q", "-m", "first")
+        (package / "a.py").write_text("x = 1\nw = 0\n# note\n", encoding="utf-8")
+        (package / "b.py").unlink()
+        (package / "c.py").write_text("v = 4\n", encoding="utf-8")
+        (package / "notes.txt").write_text("not a module\n", encoding="utf-8")
+        code_count.main(["--against", "HEAD", str(package)])
+        assert capsys.readouterr().out.splitlines() == [
+            "     1 ->      2     +1  a.py",
+            "     2 ->      0     -2  b.py",
+            "     0 ->      1     +1  c.py",
+            f"     3 ->      3     +0  total ({package} against HEAD)",
+        ]
+        code_count.main([str(package)])
+        assert capsys.readouterr().out.splitlines() == [
+            "     2  a.py", "     1  c.py", f"     3  total ({package})",
+        ]
