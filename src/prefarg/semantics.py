@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .arguments import DEFAULT_CAP, check_cap
 from .framework import Framework, _bits, _transpose, strict_masks
@@ -74,8 +74,8 @@ def _ordered_ids(fw: Framework, mask: int) -> tuple[str, ...]:
 # _not_attacked, take that attacked set as their only input: self_check
 # calls them once per distinct attacked set in its pool, not once per
 # subset. On the exhaustive pool it lists every subset's attacked set by
-# doubling a list once per argument; _attacked_lookup serves the sampled
-# pool and single sets.
+# doubling a list once per argument; _attacked_by serves the sampled pool
+# and single sets.
 
 def _attacked_by(fw: Framework, s: int) -> int:
     targets = fw.attack_targets_mask
@@ -85,34 +85,6 @@ def _attacked_by(fw: Framework, s: int) -> int:
         out |= targets[low.bit_length() - 1]
         s ^= low
     return out
-
-
-def _attacked_lookup(fw: Framework) -> Callable[[int], int]:
-    """A function giving _attacked_by(fw, s) from one table row per byte of s.
-
-    Row k maps each byte value b to the set attacked by the positions
-    8k + i for the bits i of b, built as row[b] = row[b ^ low] | targets
-    of low's position, where low is b's lowest bit. The last row only
-    spans the positions left, so the table holds at most 256 masks per
-    8 arguments.
-    """
-    targets = fw.attack_targets_mask
-    rows = []
-    for base in range(0, len(targets), 8):
-        row = [0] * (1 << min(8, len(targets) - base))
-        for b in range(1, len(row)):
-            low = b & -b
-            row[b] = row[b ^ low] | targets[base + low.bit_length() - 1]
-        rows.append(row)
-
-    def attacked(s: int) -> int:
-        out = 0
-        for row in rows:
-            out |= row[s & 255]
-            s >>= 8
-        return out
-
-    return attacked
 
 
 def _defended(fw: Framework, attacked: int) -> int:
@@ -453,15 +425,14 @@ def self_check(fw: Framework) -> SelfCheckReport:
     live part, its members that attack something, attacks. On the
     exhaustive pool the attacked sets come in subset order from doubling
     a list once per argument, an argument that attacks nothing repeating
-    the list; on the sampled pool they are read once per distinct live
-    part from a table built for this call (_attacked_lookup, one row of
-    256 masks per 8 arguments), and single sets are resolved through the
-    pool's live parts or that table. Weak conflict-freeness is computed
-    once per subset from its attacked set. f_step and g_step read only the
-    attacked set, so the pool falls into classes of subsets sharing one,
-    and _defended and _not_attacked run once per class; sets outside the
-    pool that the laws reach join the same class tables, so the laws
-    pass no attacked set to a kernel twice. Laws that read only f_step and
+    the list; on the sampled pool _attacked_by runs once per distinct
+    live part, and a single set is resolved through the pool's live parts
+    or, when no member shares its live part, _attacked_by. Weak
+    conflict-freeness is computed once per subset from its attacked set.
+    f_step and g_step read only the attacked set, so the pool falls into
+    classes of subsets sharing one, and _defended and _not_attacked run
+    once per class; sets outside the pool that the laws reach join the
+    same class tables, so the laws pass no attacked set to a kernel twice. Laws that read only f_step and
     g_step are checked once per class, the interchange tally counting
     each class as many times as it has members. A class holds at most one
     fixed point of f_step, its f_step value, and one of g_step, its g_step
@@ -485,10 +456,10 @@ def self_check(fw: Framework) -> SelfCheckReport:
     keeps four random sub-subsets per member for monotonicity, drawn one
     member at a time within its live part, and checks their attacked
     sets against the member's f_step and g_step. A draw is resolved
-    through the pool's live parts, and through the table when no member
-    shares it; draws are not kept, so on a 1000-argument chain, where
-    nearly every set attacks a set of its own, the check stays under
-    8 MB. Extension laws need full enumeration and are skipped above
+    the same way as a single set. The draws are not kept and no table of
+    attacked sets is built, so on a 1000-argument chain, where nearly
+    every set attacks a set of its own, the check stays under 6 MB.
+    Extension laws need full enumeration and are skipped above
     MAX_EXHAUSTIVE.
 
     grounded_is_fixed_point and grounded_is_union_of_f_chain cross-check
@@ -501,7 +472,6 @@ def self_check(fw: Framework) -> SelfCheckReport:
     full = (1 << n) - 1
     exhaustive = n <= MAX_EXHAUSTIVE
     targets = fw.attack_targets_mask
-    lookup = _attacked_lookup(fw)
     live = sum(1 << i for i, t in enumerate(targets) if t)
     if exhaustive:
         # The subsets with bit i set are those without it plus i, so one
@@ -512,7 +482,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
         att_of = live_att = dict(enumerate(att_list))
     else:
         pool = _subset_pool(n)
-        live_att = {k: lookup(k) for k in {s & live for s in pool}}
+        live_att = {k: _attacked_by(fw, k) for k in {s & live for s in pool}}
         att_of = {s: live_att[s & live] for s in pool}
     class_size = Counter(att_of.values())
     # f_table[a] and g_table[a] are f_step and g_step of every set
@@ -523,7 +493,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
     def att(s: int) -> int:
         s &= live
         a = live_att.get(s)
-        return lookup(s) if a is None else a
+        return _attacked_by(fw, s) if a is None else a
 
     def f(a: int) -> int:
         if a not in f_table:
@@ -603,7 +573,7 @@ def self_check(fw: Framework) -> SelfCheckReport:
             gs = g_table[a]
             for _ in range(4):
                 d = k & rng.getrandbits(n)
-                a_sub = live_att[d] if d in live_att else lookup(d)
+                a_sub = live_att[d] if d in live_att else _attacked_by(fw, d)
                 if a_sub not in f_table:
                     f_table[a_sub] = _defended(fw, a_sub)
                     g_table[a_sub] = _not_attacked(fw, a_sub)
@@ -674,41 +644,37 @@ def self_check(fw: Framework) -> SelfCheckReport:
            f"{fgf_mismatch}/{len(att_of)} pool subsets differ, "
            f"{fgf_f_fp_mismatch} at fixed points of f_step")
 
-    # Extension laws need full enumeration.
+    # Extension laws need full enumeration: each verdict is called on the
+    # exhaustive pool only, and the law is skipped on the sampled one.
     if exhaustive:
         complete = _fixed_points(fw, "weak", MAX_EXHAUSTIVE)
         stable = [s for s in complete if g_table[att_of[s]] == s]
-        record("grounded_is_complete", grounded in complete)
-        record("grounded_least_complete", all(grounded & ~s == 0 for s in complete))
+    extension_laws = (
+        ("grounded_is_complete", lambda: grounded in complete),
+        ("grounded_least_complete", lambda: all(grounded & ~s == 0 for s in complete)),
         # The pool holds every subset here, so the g_step value of each
         # class is every candidate stable set; S attacks every outsider
         # exactly when g_step(S) lies within S.
-        record("stable_implies_complete", {
+        ("stable_implies_complete", lambda: {
             gs for a, gs in g_table.items() if att_of[gs] == a and cf_of[gs]
-        } <= set(complete))
-        record("stable_iff_attacks_every_outsider", all(
+        } <= set(complete)),
+        ("stable_iff_attacks_every_outsider", lambda: all(
             (g_table[a] == s) == (g_table[a] & ~s == 0)
             for s, a in att_of.items() if cf_of[s]
-        ))
-        record("stable_maximal_conflict_free",
-               not any(cf_of[s | 1 << i] for s in stable for i in _bits(full & ~s)))
+        )),
+        ("stable_maximal_conflict_free",
+         lambda: not any(cf_of[s | 1 << i] for s in stable for i in _bits(full & ~s))),
         # Only one direction is sound: a conflict-free gfp forces the
         # grounded extension to be the sole complete extension. The
         # converse fails whenever an odd attack cycle (a self-attack
         # included) leaves extra fixed points that are not conflict-free.
-        record(
-            "gfp_conflict_free_implies_unique_complete",
-            not gfp_conflict_free or complete == [grounded],
-        )
-    else:
-        for name in (
-            "grounded_is_complete",
-            "grounded_least_complete",
-            "stable_implies_complete",
-            "stable_iff_attacks_every_outsider",
-            "stable_maximal_conflict_free",
-            "gfp_conflict_free_implies_unique_complete",
-        ):
+        ("gfp_conflict_free_implies_unique_complete",
+         lambda: not gfp_conflict_free or complete == [grounded]),
+    )
+    for name, verdict in extension_laws:
+        if exhaustive:
+            record(name, verdict())
+        else:
             results.append(CheckResult(name, "skipped", "framework too large to enumerate"))
 
     return SelfCheckReport(

@@ -76,6 +76,7 @@ def test_all_names_resolve_once():
     (arguments, "universe_to_json"),
     (semantics, "_f_mask"),
     (semantics, "_g_mask"),
+    (semantics, "_attacked_lookup"),
 ])
 def test_removed_helpers_stay_removed(owner, name):
     assert not hasattr(owner, name)
